@@ -2,35 +2,73 @@
 
 Every scalar in this package (character values, matrix entries, amplitudes,
 probabilities) lives in Q(zeta_8), the degree-4 field containing i and
-sqrt(2).  An element is stored as four arbitrary-precision rationals
-(c0, c1, c2, c3) meaning c0 + c1*z + c2*z^2 + c3*z^3, where z is a primitive
-8th root of unity and z^4 = -1.  All operations are exact; floats appear
-only in the optional ``to_complex`` embedding.
+sqrt(2).  An element c0 + c1*z + c2*z^2 + c3*z^3, where z is a primitive
+8th root of unity and z^4 = -1, is stored as four integer numerators over
+one positive common denominator, (n0, n1, n2, n3) / d, always reduced so
+that gcd(n0, n1, n2, n3, d) == 1.  Each value therefore has exactly one
+representation, and equality and hashing compare it directly.  The public
+accessors (``coeffs``, ``display_coeffs``, ``as_fraction``) still return
+``Fraction``s.  All operations are exact; floats appear only in the
+optional ``to_complex`` embedding.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RatLike = Union[int, Fraction]
 
-_ZETA_FLOAT = cmath.exp(1j * cmath.pi / 4)
+
+def _raw(n: tuple[int, int, int, int], d: int) -> CycloNum:
+    """A CycloNum from numerators and a denominator already in reduced form."""
+    x = object.__new__(CycloNum)
+    x._n = n
+    x._d = d
+    return x
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloNum:
+    """A CycloNum from numerators over a positive denominator, reduced by gcd."""
+    g = gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        return _raw((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
+    return _raw((n0, n1, n2, n3), d)
+
+
+def _parts(x) -> "tuple[tuple[int, int, int, int], int] | None":
+    """(numerators, denominator) of a CycloNum, int or Fraction, else None."""
+    if isinstance(x, CycloNum):
+        return x._n, x._d
+    if isinstance(x, int):
+        return (int(x), 0, 0, 0), 1  # int() turns a bool into a plain int
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, 0, 0), x.denominator
+    return None
 
 
 class CycloNum:
     """An element of Q(zeta_8), immutable and hashable."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c0: RatLike = 0, c1: RatLike = 0, c2: RatLike = 0, c3: RatLike = 0):
-        self._c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+        if type(c0) is int and type(c1) is int and type(c2) is int and type(c3) is int:
+            self._n = (c0, c1, c2, c3)
+            self._d = 1
+            return
+        fs = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+        # each Fraction is reduced, so numerators over the lcm share no factor
+        d = lcm(*(f.denominator for f in fs))
+        self._n = tuple(f.numerator * (d // f.denominator) for f in fs)
+        self._d = d
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coefficients (c0, c1, c2, c3) in the basis 1, z, z^2, z^3."""
-        return self._c
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
 
     @classmethod
     def from_rational(cls, q: RatLike) -> CycloNum:
@@ -48,56 +86,54 @@ class CycloNum:
     # ------------------------------------------------------------------
     # arithmetic
 
-    @staticmethod
-    def _coerce(x) -> "CycloNum | None":
-        if isinstance(x, CycloNum):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloNum(x)
-        return None
-
     def __add__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        a, b = self._c, o._c
-        return CycloNum(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        (a0, a1, a2, a3), da = self._n, self._d
+        (b0, b1, b2, b3), db = p
+        if da == db:
+            if da == 1:
+                return _raw((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _reduced(a0 * ma + b0 * mb, a1 * ma + b1 * mb,
+                        a2 * ma + b2 * mb, a3 * ma + b3 * mb, da * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloNum:
-        return CycloNum(-self._c[0], -self._c[1], -self._c[2], -self._c[3])
+        n0, n1, n2, n3 = self._n
+        return _raw((-n0, -n1, -n2, -n3), self._d)
 
     def __sub__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-_raw(*p))
 
     def __rsub__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        return o + (-self)
+        return _raw(*p) + (-self)
 
     def __mul__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        a, b = self._c, o._c
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a[i] * b[j]
-                else:
-                    out[k - 4] -= a[i] * b[j]
-        return CycloNum(*out)
+        a0, a1, a2, a3 = self._n
+        (b0, b1, b2, b3), db = p
+        # z^4 = -1 folds the degree 4..6 terms back with a sign flip
+        c0 = a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
+        c1 = a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
+        c2 = a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
+        c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        d = self._d * db
+        if d == 1:
+            return _raw((c0, c1, c2, c3), 1)
+        return _reduced(c0, c1, c2, c3, d)
 
     __rmul__ = __mul__
 
@@ -105,44 +141,47 @@ class CycloNum:
         """Apply the automorphism z -> z**k (k odd)."""
         if k % 2 == 0:
             raise ValueError(f"z -> z^{k} is not a field automorphism")
-        out = [Fraction(0)] * 4
-        for i, ci in enumerate(self._c):
-            if ci == 0:
-                continue
-            m = (i * k) % 8
-            if m < 4:
-                out[m] += ci
-            else:
-                out[m - 4] -= ci
-        return CycloNum(*out)
+        m = k % 8
+        if m == 1:
+            return self
+        if m == 7:
+            return self.conjugate()
+        n0, n1, n2, n3 = self._n
+        n = (n0, n3, -n2, n1) if m == 3 else (n0, -n1, n2, -n3)
+        return _raw(n, self._d)
 
     def conjugate(self) -> CycloNum:
         """Complex conjugation, z -> z^7 = -z^3."""
-        return self.galois(7)
+        n0, n1, n2, n3 = self._n
+        return _raw((n0, -n3, -n2, -n1), self._d)
 
     def inverse(self) -> CycloNum:
-        """Exact multiplicative inverse via the field norm."""
+        """Exact multiplicative inverse via the field norm.
+
+        For x = a/d with a integral, a * galois(a, 5) = p + q*i lies in
+        Q(i), so 1/a = galois(a, 5) * (p - q*i) / (p^2 + q^2).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
-        cofactor = self.galois(3) * self.galois(5) * self.galois(7)
-        norm = self * cofactor
-        if not norm.is_rational():
-            raise ArithmeticError("field norm failed to be rational")
-        n = norm._c[0]
-        return CycloNum(cofactor._c[0] / n, cofactor._c[1] / n,
-                        cofactor._c[2] / n, cofactor._c[3] / n)
+        a0, a1, a2, a3 = self._n
+        d = self._d
+        p = a0 * a0 - a2 * a2 + 2 * a1 * a3
+        q = 2 * a0 * a2 - a1 * a1 + a3 * a3
+        return _reduced((a0 * p + a2 * q) * d, -(a1 * p + a3 * q) * d,
+                        (a2 * p - a0 * q) * d, (a1 * q - a3 * p) * d,
+                        p * p + q * q)
 
     def __truediv__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _raw(*p).inverse()
 
     def __rtruediv__(self, other) -> CycloNum:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        return o * self.inverse()
+        return _raw(*p) * self.inverse()
 
     def __pow__(self, n: int) -> CycloNum:
         if n < 0:
@@ -164,18 +203,19 @@ class CycloNum:
     # predicates and conversions
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._c)
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return self._c[1] == 0 and self._c[2] == 0 and self._c[3] == 0
+        _, n1, n2, n3 = self._n
+        return n1 == 0 and n2 == 0 and n3 == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self._c[0]
+        return Fraction(self._n[0], self._d)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self._c[0].denominator == 1
+        return self.is_rational() and self._d == 1
 
     def as_int(self) -> int:
         f = self.as_fraction()
@@ -188,8 +228,10 @@ class CycloNum:
 
         Uses i = z^2, sqrt2 = z - z^3, i*sqrt2 = z + z^3.
         """
-        c0, c1, c2, c3 = self._c
-        return (c0, c2, (c1 - c3) / 2, (c1 + c3) / 2)
+        n0, n1, n2, n3 = self._n
+        d = self._d
+        return (Fraction(n0, d), Fraction(n2, d),
+                Fraction(n1 - n3, 2 * d), Fraction(n1 + n3, 2 * d))
 
     def to_complex(self) -> complex:
         a, b, c, d = self.display_coeffs()
@@ -200,16 +242,17 @@ class CycloNum:
     # comparison / hashing / formatting
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        p = _parts(other)
+        if p is None:
             return NotImplemented
-        return self._c == o._c
+        return self._n == p[0] and self._d == p[1]
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __repr__(self) -> str:
-        return f"CycloNum({self._c[0]}, {self._c[1]}, {self._c[2]}, {self._c[3]})"
+        c0, c1, c2, c3 = self.coeffs
+        return f"CycloNum({c0}, {c1}, {c2}, {c3})"
 
     def __str__(self) -> str:
         parts: list[str] = []

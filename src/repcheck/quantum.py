@@ -149,7 +149,7 @@ def chsh_value(state: PureState, settings: Sequence[ExactMatrix]) -> CycloNum:
         raise ZeroState("CHSH value of the zero vector")
     bell_op = _bell_operator(tuple(settings))
     num = vec_inner(state.vector, bell_op.apply(state.vector))
-    return num * CycloNum(Fraction(1, 1) / state.norm_sq())
+    return num * vec_inner(state.vector, state.vector).inverse()
 
 
 # ----------------------------------------------------------------------
@@ -179,11 +179,21 @@ class ProtocolTrace:
         raise KeyError(label)
 
 
+def _probability(branch: Vector, inv_total: CycloNum) -> Fraction:
+    """<branch|branch> / <full|full>, given 1/<full|full>.
+
+    Both squared norms may lie in Q(sqrt2); only their ratio is rational.
+    """
+    return (vec_inner(branch, branch) * inv_total).as_fraction()
+
+
 def _normalized_if_possible(v: Vector) -> Vector:
-    ns = vec_norm_sq(v)
-    if ns == 0:
+    """v scaled to unit norm when its squared norm is a rational whose
+    square root lies in Q(zeta_8); otherwise v unchanged."""
+    ns = vec_inner(v, v)
+    if ns.is_zero() or not ns.is_rational():
         return v
-    root = sqrt_of_fraction(ns)
+    root = sqrt_of_fraction(ns.as_fraction())
     if root is None:
         return v
     inv = root.inverse()
@@ -201,7 +211,7 @@ def teleport(state: PureState) -> ProtocolTrace:
     if state.is_zero():
         raise ZeroState("cannot teleport the zero vector")
     full = state.tensor(bell_state())
-    total = state.norm_sq()
+    inv_total = vec_inner(state.vector, state.vector).inverse()
     records = []
     for k, bk in enumerate(bell_basis()):
         cond = tuple(
@@ -212,7 +222,7 @@ def teleport(state: PureState) -> ProtocolTrace:
             )
             for w in range(2)
         )
-        prob = vec_norm_sq(cond) / total
+        prob = _probability(cond, inv_total)
         post = PureState(pauli(k).apply(cond))
         records.append(
             OutcomeRecord(
@@ -382,14 +392,14 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
     corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}
     left = PureState(left_vector)
     full = left.tensor(bell_state())
-    total = full.norm_sq()
+    inv_total = vec_inner(full.vector, full.vector).inverse()
     eye = ExactMatrix.identity(2)
     settings = tsirelson_settings()
 
     records = []
     for label, op in zip(inst.labels, operators):
         v = op.apply(full.vector)
-        prob = vec_norm_sq(v) / total
+        prob = _probability(v, inv_total)
         if prob == 0:
             records.append(OutcomeRecord(label, prob, PureState((ZERO,) * 4),
                                          corrections[label][0], PureState((ZERO,) * 4), None))

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(zeta_8): exactness is the whole point."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -149,3 +150,47 @@ def test_sqrt_of_fraction_known_values(q, expected):
 def test_sqrt_of_fraction_outside_field():
     assert sqrt_of_fraction(Fraction(1, 3)) is None
     assert sqrt_of_fraction(Fraction(-1)) is None
+
+
+# ----------------------------------------------------------------------
+# canonical form: numerators over one reduced, positive denominator
+
+def assert_canonical(x: CycloNum) -> None:
+    assert len(x._n) == 4 and all(type(n) is int for n in x._n)
+    assert type(x._d) is int and x._d > 0
+    assert math.gcd(*x._n, x._d) == 1
+
+
+def test_every_op_leaves_canonical_form():
+    for _ in range(100):
+        a, b = rand_cyclo(), rand_cyclo()
+        q = Fraction(RNG.randint(-8, 8), RNG.randint(1, 6))
+        results = [a, b, a + b, a - b, a * b, -a, a.conjugate(), a.abs_sq(),
+                   a + q, q - a, a * q, a ** 2, a + 3, 3 * a]
+        results += [a.galois(k) for k in (1, 3, 5, 7)]
+        if not b.is_zero():
+            results += [a / b, b.inverse(), b ** -2, 1 / b]
+        for x in results:
+            assert_canonical(x)
+    assert_canonical(a - a)
+    assert (a - a)._n == (0, 0, 0, 0) and (a - a)._d == 1
+
+
+def test_one_value_built_three_ways_is_one_element():
+    a = rand_cyclo()
+    b = rand_cyclo() + CycloNum(Fraction(1, 6), 0, 0, Fraction(-5, 4))
+    half = [
+        CycloNum(Fraction(2, 4)),
+        CycloNum(1) / 2,
+        (CycloNum(Fraction(1, 2)) + b) - b,
+        CycloNum(Fraction(3, 7)) * CycloNum(Fraction(7, 6)),
+        SQRT2 * SQRT2 / 4,
+    ]
+    for x in half:
+        assert_canonical(x)
+        assert x == half[0] == Fraction(1, 2)
+        assert hash(x) == hash(half[0])
+    assert len(set(half)) == 1
+    again = [a, (a + b) - b, (a * b) / b, a.conjugate().conjugate(), a.galois(3).galois(3)]
+    assert len(set(again)) == 1
+    assert len({(x, "key") for x in again}) == 1

@@ -182,6 +182,20 @@ def test_teleport_rejects_zero_state():
         teleport(PureState((ZERO, ZERO)))
 
 
+def general_qubit() -> PureState:
+    """(1 + z)|0> + |1>: its squared norm 3 + sqrt2 is irrational."""
+    return PureState((ONE + CycloNum.zeta(1), ONE))
+
+
+def test_teleport_of_a_state_with_irrational_norm():
+    state = general_qubit()
+    trace = teleport(state)
+    assert [rec.probability for rec in trace.outcomes] == [Fraction(1, 4)] * 4
+    for rec in trace.outcomes:
+        scalar = rec.post.proportional_to(state)
+        assert scalar is not None and not scalar.is_zero()
+
+
 def test_teleporting_half_of_an_entangled_pair():
     """Teleporting one leg of a Bell pair is a swap with the Bell-basis
     instrument: the output pair must return to the Bell state."""
@@ -245,6 +259,20 @@ def test_swap_outcome_structure():
         assert scalar is not None and scalar.abs_sq() == ONE
         assert rec.chsh == TSIRELSON
     assert trace.total_probability() == 1
+
+
+def test_swap_of_a_left_pair_with_irrational_norm():
+    a, b = general_qubit().vector
+    left = PureState((a, ZERO, ZERO, b))
+    _, inst = povm_construction()
+    trace = entanglement_swap(inst, left=left)
+    chsh_left = chsh_value(left, tsirelson_settings())
+    assert not chsh_left.is_rational()
+    assert [rec.probability for rec in trace.outcomes] == [Fraction(1, 8)] * 8
+    for rec in trace.outcomes:
+        scalar = rec.post.proportional_to(left)
+        assert scalar is not None and not scalar.is_zero()
+        assert rec.chsh == chsh_left
 
 
 def test_swap_correction_labels():
