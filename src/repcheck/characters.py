@@ -1,8 +1,9 @@
 """Exact class-function algebra over the built-in groups.
 
-Character tables are hard-coded data, re-verified on every load against the
-Schur orthogonality relations and the degree-sum identity, so a corrupted
-entry cannot go unnoticed.  Class functions are indexed by the canonical
+Character tables are hard-coded data, verified against the Schur
+orthogonality relations and the degree-sum identity once per distinct table
+content; a changed entry is verified again, so a corrupted entry cannot go
+unnoticed.  Class functions are indexed by the canonical
 conjugacy-class order from the groups module (lowest-index representatives).
 
 The two projective classes of D4 are handled through its order-16 cover:
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .cyclo import CycloNum, I, ONE, SQRT2, ZERO
@@ -171,7 +173,8 @@ def pullback(f: ClassFunction, proj: GroupHom) -> ClassFunction:
 
 
 # ----------------------------------------------------------------------
-# hard-coded character tables (verified on every load)
+# hard-coded character tables (verified once per distinct table content;
+# a changed entry is verified again)
 
 _MI = -I
 _MSQRT2 = -SQRT2
@@ -267,12 +270,19 @@ def char_table(g: GroupTable) -> CharTable:
     if g.name not in _RAW_TABLES or g != builtin_group(g.name):
         raise ValueError(f"no built-in character table for {g!r}")
     labels, rows = _RAW_TABLES[g.name]
-    cc = conjugacy_classes(g)
+    return _verified_table(g, labels, rows)
+
+
+@lru_cache(maxsize=16)
+def _verified_table(g: GroupTable, labels: tuple[str, ...], rows: tuple[tuple, ...]) -> CharTable:
+    """Build and verify one table; memoized on its content, so a changed
+    entry is new content and is verified again.  A failed verification
+    raises and is not cached."""
     irreducibles = tuple(
         ClassFunction(g, tuple(_as_cyclo(x) for x in row)) for row in rows
     )
     table = CharTable(group=g, labels=labels, irreducibles=irreducibles)
-    _verify_table(table, cc.sizes)
+    _verify_table(table, conjugacy_classes(g).sizes)
     return table
 
 

@@ -112,6 +112,10 @@ class Verdict:
     obstructions: tuple[ObstructionRecord, ...]
 
 
+# A warm entry cannot hide a corrupted D4 or Z4 table: every classify() call
+# still loads those through char_table, which verifies changed content again.
+# (K4's table only cross-checks the regular character here; verify-all's
+# character-tables check reloads all five.)
 @lru_cache(maxsize=1)
 def seven_families() -> tuple[Family, ...]:
     """The seven target conjugation characters, invariants verified."""
@@ -179,6 +183,8 @@ def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
     return pullback(pullback(target, iso), proj)
 
 
+# Safe for the same reason as seven_families: classify() still goes through
+# char_table for D4 on every call.
 @lru_cache(maxsize=1)
 def _d4_candidates() -> tuple[tuple[str, str, ClassFunction, ClassFunction], ...]:
     """(label, class tag, chi_U, its conjugation character on D4)."""
@@ -262,11 +268,11 @@ def check_dimension_bound(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
-def _z4_abelian_sweep(target: ClassFunction) -> None:
-    """Enumerate all multisets of the four linear Z4 characters with d <= 4."""
-    z4 = builtin_group("Z4")
-    t = char_table(z4)
-    triv = trivial_character(z4)
+@lru_cache(maxsize=8)
+def _z4_abelian_sweep(t: CharTable, target: ClassFunction) -> None:
+    """Enumerate all multisets of the four linear Z4 characters with d <= 4.
+    Cached on the verified Z4 table and the target it is swept against."""
+    triv = trivial_character(t.group)
     for ns in itertools.product(range(5), repeat=4):
         d = sum(ns)
         if d == 0 or d > 4:
@@ -293,7 +299,7 @@ def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
     z4 = builtin_group("Z4")
     if f.group != z4:
         raise WrongGroup(f"abelian fixed-projector check needs Z4, got {f.group.name}")
-    _z4_abelian_sweep(f.target)
+    _z4_abelian_sweep(char_table(z4), f.target)
     return ObstructionRecord(
         kind=ObstructionKind.ABELIAN_FIXED_PROJECTORS,
         detail=(
@@ -305,11 +311,10 @@ def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
-@lru_cache(maxsize=1)
-def _chi5_parity_sweep() -> int:
+@lru_cache(maxsize=8)
+def _chi5_parity_sweep(t: CharTable) -> int:
     """Verify m5 = 2e(a+b+c+d) (even) for every chi_U of degree <= 4; returns
-    the number of characters swept.  Cached: the sweep is input-independent."""
-    t = char_table(builtin_group("D4"))
+    the number of characters swept.  Cached on the verified D4 table."""
     count = 0
     for a, b, c, d, e in itertools.product(range(5), range(5), range(5), range(5), range(3)):
         deg = a + b + c + d + 2 * e
@@ -339,7 +344,7 @@ def check_parity(f: Family) -> Optional[ObstructionRecord]:
     if f.group != d4:
         raise WrongGroup(f"chi5 parity check needs D4, got {f.group.name}")
     t = char_table(d4)
-    _chi5_parity_sweep()
+    _chi5_parity_sweep(t)
     m5_target = decompose(f.target, t)[4]
     if m5_target % 2 == 0:
         return None

@@ -3,7 +3,9 @@
 Subcommands: classify, show-group, show-table, simulate-teleport,
 simulate-swap, verify-all.  JSON is the stable machine format (selected via
 --json or REPCHECK_OUTPUT=json); text output is human-oriented.  All output
-is deterministic for fixed flags.
+is deterministic for fixed flags.  Bad outside input (a flag value, the
+REPCHECK_OUTPUT variable, an unwritable --out path) exits 2 with an
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +30,17 @@ from .quantum import (
 from .verify import run_all
 
 
+# decimal exponents beyond this are refused: Fraction("1e999999999") would
+# build a billion-digit power of ten
+_MAX_EXPONENT = 1000
+
+_OUTPUT_FORMATS = ("", "text", "json")
+
+
+class BadInput(Exception):
+    """Outside input the CLI refuses; main() turns it into exit 2."""
+
+
 def _frac_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
@@ -38,16 +51,22 @@ def _cyclo_json(x: CycloNum) -> dict:
 
 def _dump(payload: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise BadInput(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         print(payload)
 
 
 def _wants_json(args: argparse.Namespace) -> bool:
-    if getattr(args, "json", False):
-        return True
-    return os.environ.get("REPCHECK_OUTPUT", "").lower() == "json"
+    env = os.environ.get("REPCHECK_OUTPUT", "").lower()
+    if env not in _OUTPUT_FORMATS:
+        raise BadInput(
+            f"REPCHECK_OUTPUT must be unset, empty, 'text' or 'json', not {env!r}"
+        )
+    return getattr(args, "json", False) or env == "json"
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -95,11 +114,22 @@ def _cmd_show_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_rational(text: str) -> Fraction:
+    _, e, exp = text.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exp)) > _MAX_EXPONENT
+    except ValueError:
+        too_big = False  # not a decimal exponent; Fraction rejects it below
+    if too_big:
+        raise ValueError(f"exponent of {text!r} is beyond +-{_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _parse_state(text: str) -> PureState:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("expected 4 comma-separated rationals: re0,im0,re1,im1")
-    re0, im0, re1, im1 = (Fraction(p) for p in parts)
+    re0, im0, re1, im1 = (_parse_rational(p) for p in parts)
     return PureState((CycloNum(re0, 0, im0, 0), CycloNum(re1, 0, im1, 0)))
 
 
@@ -107,11 +137,9 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
     try:
         state = _parse_state(args.state)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad --state: {exc}", file=sys.stderr)
-        return 2
+        raise BadInput(f"bad --state: {exc}") from exc
     if state.is_zero():
-        print("error: --state must be non-zero", file=sys.stderr)
-        return 2
+        raise BadInput("--state must be non-zero")
     trace = teleport(state)
     if _wants_json(args):
         doc = {
@@ -143,8 +171,7 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_swap(args: argparse.Namespace) -> int:
     if args.rounds < 1:
-        print("error: --rounds must be >= 1", file=sys.stderr)
-        return 2
+        raise BadInput("--rounds must be >= 1")
     _, inst = povm_construction()
     detailed = iterate_swap_detailed(args.rounds, seed=args.seed, inst=inst)
     if _wants_json(args):
@@ -240,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

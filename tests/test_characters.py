@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from repcheck import characters
 from repcheck.characters import (
     ClassFunction,
     GroupMismatch,
@@ -24,6 +25,7 @@ from repcheck.characters import (
     tensor,
     trivial_character,
 )
+from repcheck.classify import classify_all
 from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO
 from repcheck.groups import BUILTIN_NAMES, builtin_group, center, find_isomorphism, quotient
 
@@ -295,3 +297,47 @@ def test_char_table_rejects_unknown_group():
     q, _ = quotient(D4, center(D4))
     with pytest.raises(ValueError):
         char_table(q)
+
+
+def _corrupt_chi5(monkeypatch):
+    labels, rows = _RAW_TABLES["D4"]
+    bad_rows = tuple(
+        row if i != 4 else (2, 0, -2, 0, 1) for i, row in enumerate(rows)
+    )
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, bad_rows))
+
+
+def test_warm_caches_cannot_hide_a_corrupted_table(monkeypatch):
+    char_table(D4)
+    classify_all()
+    _corrupt_chi5(monkeypatch)
+    with pytest.raises(TableVerificationFailed):
+        char_table(D4)
+    with pytest.raises(TableVerificationFailed) as excinfo:
+        classify_all()
+    assert any(entry.name == "enumerate_witnesses" for entry in excinfo.traceback)
+
+
+def test_table_is_verified_once_per_distinct_content(monkeypatch):
+    verified = []
+    real = characters._verify_table
+
+    def counting(t, sizes):
+        verified.append(t.group.name)
+        return real(t, sizes)
+
+    monkeypatch.setattr(characters, "_verify_table", counting)
+    characters._verified_table.cache_clear()
+    assert char_table(D4) is char_table(D4)
+    assert verified == ["D4"]
+
+    labels, rows = _RAW_TABLES["D4"]
+    _corrupt_chi5(monkeypatch)
+    for _ in range(2):  # a failed verification is not cached
+        with pytest.raises(TableVerificationFailed):
+            char_table(D4)
+    assert verified == ["D4"] * 3
+
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, rows))
+    assert char_table(D4) == T4
+    assert verified == ["D4"] * 3

@@ -1,11 +1,26 @@
 """CLI behaviour: formats, determinism, exit codes, fault detection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repcheck import cli
 from repcheck.characters import _RAW_TABLES
+from repcheck.classify import classify_all
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_python(*argv, timeout=60):
+    """Run a fresh interpreter that imports repcheck from this source tree."""
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=timeout,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -157,3 +172,74 @@ def test_verify_all_catches_injected_table_fault(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-all")
     assert code == 1
     assert "FAIL character-tables" in out
+
+
+def test_verify_all_catches_table_fault_after_warm_caches(capsys, monkeypatch):
+    run_cli(capsys, "verify-all")
+    classify_all()
+    labels, rows = _RAW_TABLES["D4"]
+    bad_rows = tuple(row if i != 4 else (2, 0, -2, 0, 1) for i, row in enumerate(rows))
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, bad_rows))
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert "FAIL character-tables" in out
+
+
+def test_verify_all_runs_under_optimize_flag():
+    proc = run_python("-O", "-m", "repcheck.cli", "verify-all")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().splitlines()[-1] == "18/18 checks passed"
+
+
+def test_a_broken_pinned_fact_fails_its_check_under_optimize_flag():
+    proc = run_python(
+        "-O", "-c",
+        "from repcheck import cyclo, verify; verify.TSIRELSON = cyclo.ONE; "
+        "verify._check_tsirelson()",
+    )
+    assert proc.returncode == 1
+    assert "repcheck.verify.CheckFailed" in proc.stderr
+
+
+def _assert_refused(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["show-group", "K4"], ["show-table", "D4"], ["simulate-teleport"],
+    ["simulate-swap"], ["verify-all"],
+])
+def test_out_to_missing_directory_is_refused(capsys, tmp_path, command):
+    code = cli.main([*command, "--out", str(tmp_path / "missing" / "x")])
+    _assert_refused(capsys, code)
+
+
+def test_huge_state_exponent_is_refused_without_hanging():
+    proc = run_python(
+        "-m", "repcheck.cli", "simulate-teleport", "--state", "1e999999999,0,0,0", timeout=30
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad --state: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_state_accepts_fractions_decimals_and_small_exponents(capsys):
+    code, out = run_cli(capsys, "simulate-teleport", "--state", "1/2,0.5,-3,1e3")
+    assert code == 0
+    assert out.splitlines()[0] == "teleporting (1/2 + (1/2)i, -3 + 1000i)"
+
+
+@pytest.mark.parametrize("value", ["", "text", "TEXT"])
+def test_text_output_formats_are_accepted(capsys, monkeypatch, value):
+    monkeypatch.setenv("REPCHECK_OUTPUT", value)
+    code, out = run_cli(capsys, "classify")
+    assert code == 0
+    assert out.rstrip().splitlines()[-1] == "realizable: K4_1234, D4_125"
+
+
+def test_unknown_output_format_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("REPCHECK_OUTPUT", "xml")
+    _assert_refused(capsys, cli.main(["classify"]))
