@@ -112,15 +112,18 @@ class Verdict:
     obstructions: tuple[ObstructionRecord, ...]
 
 
-# A warm entry cannot hide a corrupted D4 or Z4 table: every classify() call
-# still loads those through char_table, which verifies changed content again.
-# (K4's table only cross-checks the regular character here; verify-all's
-# character-tables check reloads all five.)
-@lru_cache(maxsize=1)
 def seven_families() -> tuple[Family, ...]:
     """The seven target conjugation characters, invariants verified."""
     k4, z4, d4 = builtin_group("K4"), builtin_group("Z4"), builtin_group("D4")
-    t_k4, t_z4, t_d4 = char_table(k4), char_table(z4), char_table(d4)
+    return _families_from(char_table(k4), char_table(z4), char_table(d4))
+
+
+# Keyed on the verified tables, so a warm entry cannot hide a corrupted K4,
+# Z4 or D4 table: char_table verifies changed content again before the key
+# is built.
+@lru_cache(maxsize=4)
+def _families_from(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable) -> tuple[Family, ...]:
+    k4, z4, d4 = t_k4.group, t_z4.group, t_d4.group
 
     def by_digits(table: CharTable, digits: str, extra_chi5: int = 0) -> ClassFunction:
         total = None
@@ -183,8 +186,8 @@ def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
     return pullback(pullback(target, iso), proj)
 
 
-# Safe for the same reason as seven_families: classify() still goes through
-# char_table for D4 on every call.
+# A warm entry cannot hide a corrupted D4 table: enumerate_witnesses() still
+# loads it through char_table on every call.
 @lru_cache(maxsize=1)
 def _d4_candidates() -> tuple[tuple[str, str, ClassFunction, ClassFunction], ...]:
     """(label, class tag, chi_U, its conjugation character on D4)."""

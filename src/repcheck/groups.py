@@ -55,6 +55,8 @@ class GroupTable:
             raise GroupError(f"{name}: {len(self.element_words)} words for order {self.order}")
         self._verify()
         self.inv_table = tuple(self._find_inverse(a) for a in range(self.order))
+        # once: the table is immutable, and every cache keyed on a group hashes it
+        self._hash = hash((self.name, self.mul_table))
 
     def _verify(self) -> None:
         n = self.order
@@ -124,7 +126,7 @@ class GroupTable:
         return self.mul_table == other.mul_table and self.element_words == other.element_words
 
     def __hash__(self) -> int:
-        return hash((self.name, self.mul_table))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, order={self.order})"

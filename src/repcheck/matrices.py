@@ -1,13 +1,19 @@
-"""Dense matrices and vectors over Q(zeta_8).
+"""Matrices and vectors over Q(zeta_8).
 
 Everything stays exact: unitarity, Hermiticity and operator identities are
-equality tests, never tolerance tests.  Sizes never exceed 16x16 here, so no
-attempt is made at clever algorithms.
+equality tests, never tolerance tests.  Sizes never exceed 16x16 here.  A
+matrix keeps its dense entries and, per row, the (column, value) pairs of its
+non-zero entries; products, applications and tensor products pay for those
+pairs only.  The protocol operators are mostly zeros (a 16x16 swap operator
+I x M x I has 16 non-zero entries), while a dense matrix costs the same as a
+plain triple loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .cyclo import CycloNum, ONE, ZERO
@@ -23,7 +29,7 @@ def _as_cyclo(x: Scalar) -> CycloNum:
 class ExactMatrix:
     """An immutable rows x cols matrix with CycloNum entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzero", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         self.entries = tuple(tuple(_as_cyclo(x) for x in row) for row in entries)
@@ -31,6 +37,12 @@ class ExactMatrix:
         self.cols = len(self.entries[0]) if self.rows else 0
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged matrix")
+        # per row, the (column, value) pairs of its non-zero entries
+        self._nonzero = tuple(
+            tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
+            for row in self.entries
+        )
+        self._hash = None  # computed on first use: most matrices are never hashed
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -57,7 +69,9 @@ class ExactMatrix:
         return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         self._check_shape(other)
@@ -81,10 +95,13 @@ class ExactMatrix:
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
         out = []
-        for row in self.entries:
-            out.append([_dot(row, col) for col in cols])
+        for row in self._nonzero:
+            acc = [ZERO] * other.cols
+            for k, a in row:
+                for j, b in other._nonzero[k]:
+                    acc[j] = acc[j] + a * b
+            out.append(acc)
         return ExactMatrix(out)
 
     def _check_shape(self, other: ExactMatrix) -> None:
@@ -110,16 +127,24 @@ class ExactMatrix:
 
     def tensor(self, other: ExactMatrix) -> ExactMatrix:
         """Kronecker product; row-major qubit convention."""
+        width = other.cols
         out = []
-        for ra in self.entries:
-            for rb in other.entries:
-                out.append([a * b for a in ra for b in rb])
+        for ra in self._nonzero:
+            for rb in other._nonzero:
+                row = [ZERO] * (self.cols * width)
+                for i, a in ra:
+                    for j, b in rb:
+                        row[i * width + j] = a * b
+                out.append(row)
         return ExactMatrix(out)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(row, v) for row in self.entries)
+        return tuple(
+            _total([a * v[j] for j, a in row if not v[j].is_zero()])
+            for row in self._nonzero
+        )
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()
@@ -139,13 +164,9 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _dot(xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
-    t = ZERO
-    for x, y in zip(xs, ys):
-        if x.is_zero() or y.is_zero():
-            continue
-        t = t + x * y
-    return t
+def _total(terms: list[CycloNum]) -> CycloNum:
+    """The sum of terms, starting from the first rather than from ZERO."""
+    return reduce(add, terms) if terms else ZERO
 
 
 def hs_inner(x: ExactMatrix, y: ExactMatrix) -> CycloNum:
@@ -155,13 +176,16 @@ def hs_inner(x: ExactMatrix, y: ExactMatrix) -> CycloNum:
 
 def vec_inner(v: Vector, w: Vector) -> CycloNum:
     """<v|w>, conjugate-linear in the first argument."""
-    t = ZERO
-    for a, b in zip(v, w):
-        t = t + a.conjugate() * b
-    return t
+    return _total([a.conjugate() * b for a, b in zip(v, w)
+                   if not (a.is_zero() or b.is_zero())])
 
 
 def vec_norm_sq(v: Vector) -> Fraction:
+    """<v|v> as a Fraction.
+
+    Raises ValueError when <v|v> lies in Q(sqrt2) but not in Q, e.g. for
+    v = (1 + zeta, 1); vec_inner(v, v) returns such a norm as a field element.
+    """
     return vec_inner(v, v).as_fraction()
 
 
@@ -175,7 +199,7 @@ def vec_scale(c: Scalar, v: Vector) -> Vector:
 
 
 def vec_tensor(v: Vector, w: Vector) -> Vector:
-    return tuple(a * b for a in v for b in w)
+    return tuple(ZERO if a.is_zero() or b.is_zero() else a * b for a in v for b in w)
 
 
 def outer(v: Vector, w: Vector) -> ExactMatrix:

@@ -74,6 +74,8 @@ class PureState:
         return len(self.vector)
 
     def norm_sq(self) -> Fraction:
+        """<psi|psi> as a Fraction; raises ValueError when it lies in Q(sqrt2)
+        but not in Q (use vec_inner(v, v) for the field element)."""
         return vec_norm_sq(self.vector)
 
     def is_zero(self) -> bool:
@@ -93,36 +95,49 @@ class PureState:
         return proportionality(self.vector, other.vector)
 
 
+# The fixed operators of both protocols, built once; matrices and states are
+# immutable, so every caller can share them.
+_EYE2 = ExactMatrix.identity(2)
+# keyed by index rather than held in a tuple, so pauli(-1) cannot wrap round
+_PAULIS = {
+    0: _EYE2,
+    1: ExactMatrix([[0, 1], [1, 0]]),
+    2: ExactMatrix([[ZERO, -I], [I, ZERO]]),
+    3: ExactMatrix([[1, 0], [0, -1]]),
+}
+_S = ExactMatrix.diag([ONE, I])
+_PHI = PureState((INV_SQRT2, ZERO, ZERO, INV_SQRT2))
+_BELL_BASIS = tuple(
+    PureState(_PAULIS[k].tensor(_EYE2).apply(_PHI.vector)) for k in range(4)
+)
+_STANDARD_CORRECTIONS = tuple(
+    [(f"b{k}", (PAULI_LABELS[k], _PAULIS[k])) for k in range(4)]
+    + [(f"a{k}", ("S" if k == 0 else f"S{PAULI_LABELS[k]}", _S @ _PAULIS[k]))
+       for k in range(4)]
+)
+
+
 def pauli(k: int) -> ExactMatrix:
     """The Pauli matrix sigma_k, k in 0..3, with i = zeta^2."""
-    if k == 0:
-        return ExactMatrix([[1, 0], [0, 1]])
-    if k == 1:
-        return ExactMatrix([[0, 1], [1, 0]])
-    if k == 2:
-        return ExactMatrix([[ZERO, -I], [I, ZERO]])
-    if k == 3:
-        return ExactMatrix([[1, 0], [0, -1]])
-    raise ValueError(f"pauli index {k} out of range")
+    m = _PAULIS.get(k)
+    if m is None:
+        raise ValueError(f"pauli index {k} out of range")
+    return m
 
 
 def phase_gate() -> ExactMatrix:
     """S = diag(1, i); S^2 = sigma_z, S^4 = identity."""
-    return ExactMatrix.diag([ONE, I])
+    return _S
 
 
 def bell_state() -> PureState:
     """(|00> + |11>)/sqrt2, exactly normalized (1/sqrt2 is in the field)."""
-    return PureState((INV_SQRT2, ZERO, ZERO, INV_SQRT2))
+    return _PHI
 
 
 def bell_basis() -> tuple[PureState, ...]:
     """|Phi_k> = (sigma_k x 1)|Phi>, an orthonormal 2-qubit basis."""
-    phi = bell_state()
-    eye = ExactMatrix.identity(2)
-    return tuple(
-        PureState(pauli(k).tensor(eye).apply(phi.vector)) for k in range(4)
-    )
+    return _BELL_BASIS
 
 
 @lru_cache(maxsize=1)
@@ -214,14 +229,8 @@ def teleport(state: PureState) -> ProtocolTrace:
     inv_total = vec_inner(state.vector, state.vector).inverse()
     records = []
     for k, bk in enumerate(bell_basis()):
-        cond = tuple(
-            sum(
-                (bk.vector[2 * x + y].conjugate() * full.vector[4 * x + 2 * y + w]
-                 for x in range(2) for y in range(2)),
-                ZERO,
-            )
-            for w in range(2)
-        )
+        # <Phi_k| on the first two qubits: full[4x + 2y + w] pairs with bk[2x + y]
+        cond = tuple(vec_inner(bk.vector, full.vector[w::2]) for w in range(2))
         prob = _probability(cond, inv_total)
         post = PureState(pauli(k).apply(cond))
         records.append(
@@ -277,16 +286,12 @@ class Instrument:
 def povm_construction() -> tuple[list[Effect], Instrument]:
     """The eight effects (1/2)|b_k><b_k|, (1/2)|a_k><a_k| and their
     Lueders instrument with Kraus operators (1/sqrt2)|.><.|."""
-    phi = bell_state()
-    eye = ExactMatrix.identity(2)
-    s = phase_gate()
     half = Fraction(1, 2)
 
-    vectors: list[tuple[str, PureState]] = []
-    for k in range(4):
-        vectors.append((f"b{k}", PureState(pauli(k).tensor(eye).apply(phi.vector))))
-    for k in range(4):
-        vectors.append((f"a{k}", PureState((s @ pauli(k)).tensor(eye).apply(phi.vector))))
+    # b_k = (sigma_k x 1)|Phi>, a_k = (S sigma_k x 1)|Phi> = (S x 1)|b_k>
+    s_lift = _S.tensor(_EYE2)
+    vectors = [(f"b{k}", bk) for k, bk in enumerate(_BELL_BASIS)]
+    vectors += [(f"a{k}", PureState(s_lift.apply(bk.vector))) for k, bk in enumerate(_BELL_BASIS)]
 
     effects = [
         Effect(label=lbl, scale=half, vector=v,
@@ -313,15 +318,9 @@ def povm_construction() -> tuple[list[Effect], Instrument]:
 
 def standard_corrections() -> dict[str, tuple[str, ExactMatrix]]:
     """Outcome label -> (correction label, unitary): sigma_k for b_k,
-    S sigma_k for a_k."""
-    s = phase_gate()
-    out: dict[str, tuple[str, ExactMatrix]] = {}
-    for k in range(4):
-        out[f"b{k}"] = (PAULI_LABELS[k], pauli(k))
-    for k in range(4):
-        lbl = "S" if k == 0 else f"S{PAULI_LABELS[k]}"
-        out[f"a{k}"] = (lbl, s @ pauli(k))
-    return out
+    S sigma_k for a_k.  A new dict on every call, so editing it leaves the
+    shared table alone."""
+    return dict(_STANDARD_CORRECTIONS)
 
 
 def _split_middle(v: Vector) -> tuple[Vector, Vector]:
@@ -342,13 +341,14 @@ def _split_middle(v: Vector) -> tuple[Vector, Vector]:
         raise ZeroState("zero branch has no conditional state")
     x0, y0, z0, w0 = pivot
     mid = tuple(at(x0, y, z, w0) for y in range(2) for z in range(2))
-    scale = at(x0, y0, z0, w0)
-    out_pair = tuple(at(x, y0, z0, w) / scale for x in range(2) for w in range(2))
+    inv_scale = at(x0, y0, z0, w0).inverse()
+    out_pair = tuple(at(x, y0, z0, w) * inv_scale for x in range(2) for w in range(2))
+    product = vec_tensor(out_pair, mid)  # index 4 * (2x + w) + 2y + z
     for x in range(2):
         for y in range(2):
             for z in range(2):
                 for w in range(2):
-                    if at(x, y, z, w) != out_pair[2 * x + w] * mid[2 * y + z]:
+                    if at(x, y, z, w) != product[4 * (2 * x + w) + 2 * y + z]:
                         raise IncompleteInstrument(
                             "middle qubits stay entangled; instrument is not rank-one"
                         )
@@ -359,8 +359,13 @@ def _split_middle(v: Vector) -> tuple[Vector, Vector]:
 def _swap_operators(inst: Instrument) -> tuple[ExactMatrix, ...]:
     if not inst.is_complete():
         raise IncompleteInstrument("sum of M^dag M is not the identity")
-    eye = ExactMatrix.identity(2)
-    return tuple(eye.tensor(m).tensor(eye) for m in inst.kraus)
+    return tuple(_EYE2.tensor(m).tensor(_EYE2) for m in inst.kraus)
+
+
+@lru_cache(maxsize=32)
+def _lift_to_second_qubit(u: ExactMatrix) -> ExactMatrix:
+    """I x U: a correction acting on C of an (A, C) pair."""
+    return _EYE2.tensor(u)
 
 
 def entanglement_swap(
@@ -393,7 +398,6 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
     left = PureState(left_vector)
     full = left.tensor(bell_state())
     inv_total = vec_inner(full.vector, full.vector).inverse()
-    eye = ExactMatrix.identity(2)
     settings = tsirelson_settings()
 
     records = []
@@ -407,7 +411,7 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
         out_pair, _mid = _split_middle(v)
         cond = _normalized_if_possible(out_pair)
         corr_label, corr = corrections[label]
-        post = PureState(eye.tensor(corr).apply(cond))
+        post = PureState(_lift_to_second_qubit(corr).apply(cond))
         records.append(
             OutcomeRecord(
                 label=label,
@@ -479,8 +483,7 @@ def verify_cocycle() -> CycloNum:
     that puts the S/X pair in the non-trivial multiplier class."""
     s = phase_gate()
     sx = pauli(1)
-    eye = ExactMatrix.identity(2)
-    if (sx @ s @ sx @ s) != eye.scale(I):
+    if (sx @ s @ sx @ s) != _EYE2.scale(I):
         raise CocycleMismatch("sigma_x S sigma_x S != i * identity")
     s3 = s @ s @ s
     if (sx @ s @ sx) != s3.scale(I):
@@ -681,7 +684,7 @@ def lifted_correction_rep_on_d8() -> tuple[ExactMatrix, ...]:
     mats = []
     for j in range(2):
         for i in range(8):
-            m = ExactMatrix.identity(2)
+            m = _EYE2
             for _ in range(i):
                 m = m @ s
             if j:

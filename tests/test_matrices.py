@@ -33,6 +33,65 @@ def rand_matrix(n):
     )
 
 
+def dense_matmul(a, b):
+    """Triple loop over every entry, zeros included."""
+    return [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), ZERO)
+         for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def dense_apply(m, v):
+    return tuple(sum((m.entries[i][j] * v[j] for j in range(m.cols)), ZERO)
+                 for i in range(m.rows))
+
+
+def dense_kron(a, b):
+    return [
+        [a.entries[i // b.rows][j // b.cols] * b.entries[i % b.rows][j % b.cols]
+         for j in range(a.cols * b.cols)]
+        for i in range(a.rows * b.rows)
+    ]
+
+
+SPARSE_RNG = random.Random(2024)
+
+
+def rand_entry(rng, zero_share):
+    if rng.random() < zero_share:
+        return ZERO
+    return CycloNum(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+
+
+def rand_sparse(rng, rows, cols, zero_share=0.6):
+    """A seeded matrix with forced zeros, one all-zero row and one all-zero
+    column (when there are at least two of each)."""
+    entries = [[rand_entry(rng, zero_share) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        entries[rng.randrange(rows)] = [ZERO] * cols
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = ZERO
+    return ExactMatrix(entries)
+
+
+def rand_vector(rng, n, zero_share=0.5):
+    return tuple(rand_entry(rng, zero_share) for _ in range(n))
+
+
+def swap_operators():
+    from repcheck.quantum import povm_construction
+
+    _, inst = povm_construction()
+    eye = ExactMatrix.identity(2)
+    return [eye.tensor(m).tensor(eye) for m in inst.kraus]
+
+
+SHAPES = [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (4, 4, 4), (5, 1, 3), (6, 6, 2)]
+
+
 def test_identity_and_matmul():
     eye = ExactMatrix.identity(3)
     m = rand_matrix(3)
@@ -43,6 +102,9 @@ def test_identity_and_matmul():
 def test_dagger_reverses_products():
     for _ in range(10):
         a, b = rand_matrix(2), rand_matrix(2)
+        assert (a @ b).dagger() == b.dagger() @ a.dagger()
+    for n, k, m in SHAPES:
+        a, b = rand_sparse(SPARSE_RNG, n, k), rand_sparse(SPARSE_RNG, k, m)
         assert (a @ b).dagger() == b.dagger() @ a.dagger()
 
 
@@ -56,6 +118,10 @@ def test_tensor_respects_products_and_traces():
     a, b, c, d = (rand_matrix(2) for _ in range(4))
     assert (a.tensor(b)) @ (c.tensor(d)) == (a @ c).tensor(b @ d)
     assert a.tensor(b).trace() == a.trace() * b.trace()
+    for _ in range(5):
+        a, c = rand_sparse(SPARSE_RNG, 2, 3), rand_sparse(SPARSE_RNG, 3, 2)
+        b, d = rand_sparse(SPARSE_RNG, 2, 2), rand_sparse(SPARSE_RNG, 2, 4)
+        assert (a.tensor(b)) @ (c.tensor(d)) == (a @ c).tensor(b @ d)
 
 
 def test_diag_and_scale():
@@ -119,3 +185,78 @@ def test_shape_errors():
         ExactMatrix.identity(2) @ ExactMatrix.identity(3)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]]).trace()
+
+
+# ----------------------------------------------------------------------
+# the sparse kernels against the dense reference
+
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matmul_matches_dense_reference(shape):
+    n, k, m = shape
+    for zero_share in (0.0, 0.5, 0.9, 1.0):
+        a = rand_sparse(SPARSE_RNG, n, k, zero_share)
+        b = rand_sparse(SPARSE_RNG, k, m, zero_share)
+        assert a @ b == ExactMatrix(dense_matmul(a, b))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_apply_matches_dense_reference(shape):
+    n, k, _ = shape
+    for zero_share in (0.0, 0.5, 0.9, 1.0):
+        a = rand_sparse(SPARSE_RNG, n, k, zero_share)
+        for v in (rand_vector(SPARSE_RNG, k), (ZERO,) * k, rand_vector(SPARSE_RNG, k, 0.0)):
+            assert a.apply(v) == dense_apply(a, v)
+
+
+def test_zero_matrices_and_vectors():
+    z = ExactMatrix.zeros(3, 4)
+    a = rand_sparse(SPARSE_RNG, 4, 2, 0.0)
+    assert z @ a == ExactMatrix.zeros(3, 2)
+    assert a.transpose() @ z.transpose() == ExactMatrix.zeros(2, 3)
+    assert z.apply(rand_vector(SPARSE_RNG, 4)) == (ZERO,) * 3
+    assert a.apply((ZERO,) * 2) == (ZERO,) * 4
+    assert vec_inner((ZERO,) * 3, (ONE, I, ONE)) == ZERO
+    assert vec_tensor((ZERO, ZERO), (ONE, I)) == (ZERO,) * 4
+
+
+def test_swap_operators_match_dense_reference():
+    ops = swap_operators()
+    for op in ops:
+        assert op.rows == op.cols == 16
+        assert sum(not x.is_zero() for row in op.entries for x in row) == 16
+    phi = (ONE, ZERO, ZERO, ONE)
+    vectors = [vec_tensor(rand_vector(SPARSE_RNG, 4, 0.0), phi),
+               rand_vector(SPARSE_RNG, 16), (ZERO,) * 16]
+    for op in ops:
+        for v in vectors:
+            assert op.apply(v) == dense_apply(op, v)
+    for a, b in zip(ops, ops[1:] + ops[:1]):
+        assert a @ b == ExactMatrix(dense_matmul(a, b))
+
+
+def test_tensor_matches_dense_kronecker():
+    for rows_a, cols_a, rows_b, cols_b in [(2, 2, 2, 2), (1, 3, 2, 1), (3, 2, 2, 3)]:
+        a = rand_sparse(SPARSE_RNG, rows_a, cols_a)
+        b = rand_sparse(SPARSE_RNG, rows_b, cols_b)
+        assert a.tensor(b) == ExactMatrix(dense_kron(a, b))
+
+
+def test_vector_helpers_match_dense_sums():
+    for _ in range(20):
+        v, w = rand_vector(SPARSE_RNG, 5), rand_vector(SPARSE_RNG, 5)
+        assert vec_inner(v, w) == sum((a.conjugate() * b for a, b in zip(v, w)), ZERO)
+        assert vec_tensor(v, w) == tuple(a * b for a in v for b in w)
+
+
+def test_norm_sq_refuses_an_irrational_squared_norm():
+    from repcheck.cyclo import SQRT2
+    from repcheck.quantum import PureState
+
+    v = (ONE + CycloNum.zeta(1), ONE)  # |1 + z|^2 = 2 + sqrt2
+    assert vec_inner(v, v) == CycloNum(3) + SQRT2
+    with pytest.raises(ValueError, match="not rational"):
+        vec_norm_sq(v)
+    with pytest.raises(ValueError, match="not rational"):
+        PureState(v).norm_sq()

@@ -103,6 +103,35 @@ def test_bell_basis_gram_matrix_is_identity():
             assert b[j].inner(b[k]) == expected
 
 
+def test_bell_basis_is_the_same_on_every_call():
+    first = bell_basis()
+    assert bell_basis() == first
+
+
+@pytest.mark.parametrize("k", [4, -1, -4, 5])
+def test_pauli_index_out_of_range_is_refused(k):
+    # a shared tuple indexed by k would quietly return sigma_z for -1
+    with pytest.raises(ValueError, match="out of range"):
+        pauli(k)
+
+
+def test_editing_standard_corrections_leaves_the_shared_table_alone():
+    _, inst = povm_construction()
+    edited = standard_corrections()
+    for label in edited:
+        edited[label] = ("I", pauli(0))
+    edited["b9"] = ("X", pauli(1))
+    fresh = standard_corrections()
+    assert sorted(fresh) == ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3"]
+    assert fresh["a1"] == ("SX", phase_gate() @ pauli(1))
+    trace = entanglement_swap(inst)
+    assert [rec.probability for rec in trace.outcomes] == [Fraction(1, 8)] * 8
+    assert [rec.chsh for rec in trace.outcomes] == [TSIRELSON] * 8
+    assert [rec.correction_label for rec in trace.outcomes] == [
+        "I", "X", "Y", "Z", "S", "SX", "SY", "SZ"
+    ]
+
+
 # ----------------------------------------------------------------------
 # CHSH
 
