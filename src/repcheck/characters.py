@@ -68,9 +68,6 @@ class ClassFunction:
         if len(self.values) != k:
             raise ValueError(f"expected {k} class values, got {len(self.values)}")
 
-    def at_class(self, i: int) -> CycloNum:
-        return self.values[i]
-
     def at_element(self, a: int) -> CycloNum:
         return self.values[conjugacy_classes(self.group).class_of[a]]
 
@@ -82,9 +79,6 @@ class ClassFunction:
         if other.group != self.group:
             raise GroupMismatch(f"{self.group.name} vs {other.group.name}")
         return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __rmul__(self, n: int) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(CycloNum(n) * v for v in self.values))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
@@ -101,6 +95,29 @@ class CharTable:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(chi.dimension() for chi in self.irreducibles)
+
+
+def combination(chars: Sequence[ClassFunction], ns: Sequence[int]) -> ClassFunction:
+    """sum ns[i] * chars[i] by repeated addition; ns must not be all zero."""
+    total = None
+    for n, chi in zip(ns, chars, strict=True):
+        for _ in range(n):
+            total = chi if total is None else total + chi
+    if total is None:
+        raise ValueError("a combination needs a non-zero multiplicity")
+    return total
+
+
+def multiplicity_vectors(degrees: Sequence[int], max_degree: int) -> list[tuple[int, ...]]:
+    """Every non-zero ns with sum ns[i] * degrees[i] <= max_degree, in the
+    order itertools.product gives.  Each prefix is extended only within the
+    degree budget it leaves, so no out-of-budget vector is ever built."""
+    prefixes = [((), max_degree)]
+    for d in degrees:
+        prefixes = [
+            (ns + (n,), left - n * d) for ns, left in prefixes for n in range(left // d + 1)
+        ]
+    return [ns for ns, left in prefixes if left < max_degree]
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:

@@ -10,12 +10,11 @@ Every obstruction is a standalone executable check carrying the set of
 projective classes it rules out.  A family is obstructed exactly when the
 fired scopes cover all its candidate classes; the witness enumeration and
 the obstruction battery are cross-validated against each other on every
-call.
+call, and a witness-less class that no check covers raises.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -26,9 +25,11 @@ from .characters import (
     ClassFunction,
     ProjectiveClassTag,
     char_table,
+    combination,
     conj_character,
     decompose,
     inner_product,
+    multiplicity_vectors,
     projective_irreps_d4,
     pullback,
     push_to_quotient,
@@ -49,8 +50,6 @@ class ClassifierInconsistency(Exception):
 
 class ObstructionKind(Enum):
     DIMENSION_BOUND = "DimensionBound"
-    IRREDUCIBILITY_FORCED = "IrreducibilityForced"
-    TRIVIAL_CLASS_MISMATCH = "TrivialClassMismatch"
     PARITY_OF_CHI5 = "ParityOfChi5"
     REFLECTION_VANISHING = "ReflectionVanishing"
     ABELIAN_FIXED_PROJECTORS = "AbelianFixedProjectors"
@@ -124,31 +123,21 @@ def seven_families() -> tuple[Family, ...]:
 @lru_cache(maxsize=4)
 def _families_from(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable) -> tuple[Family, ...]:
     k4, z4, d4 = t_k4.group, t_z4.group, t_d4.group
-
-    def by_digits(table: CharTable, digits: str, extra_chi5: int = 0) -> ClassFunction:
-        total = None
-        for d in digits:
-            chi = table.irreducibles[int(d) - 1]
-            total = chi if total is None else total + chi
-        if extra_chi5:
-            total = total + table.by_label("chi5")
-        return total
-
     reg_k4 = regular_character(k4)
-    if reg_k4 != by_digits(t_k4, "1234"):
+    if reg_k4 != combination(t_k4.irreducibles, (1, 1, 1, 1)):
         raise ClassifierInconsistency("K4 regular character != sum of its irreducibles")
     reg_z4 = regular_character(z4)
-    if reg_z4 != by_digits(t_z4, "1234"):
+    if reg_z4 != combination(t_z4.irreducibles, (1, 1, 1, 1)):
         raise ClassifierInconsistency("Z4 regular character != sum of its irreducibles")
 
     spec = (
         ("K4_1234", k4, reg_k4),
         ("Z4_1234", z4, reg_z4),
-        ("D4_125", d4, by_digits(t_d4, "125")),
-        ("D4_135", d4, by_digits(t_d4, "135")),
-        ("D4_145", d4, by_digits(t_d4, "145")),
-        ("D4_12345", d4, by_digits(t_d4, "12345")),
-        ("D4_123452", d4, by_digits(t_d4, "12345", extra_chi5=1)),
+        ("D4_125", d4, combination(t_d4.irreducibles, (1, 1, 0, 0, 1))),
+        ("D4_135", d4, combination(t_d4.irreducibles, (1, 0, 1, 0, 1))),
+        ("D4_145", d4, combination(t_d4.irreducibles, (1, 0, 0, 1, 1))),
+        ("D4_12345", d4, combination(t_d4.irreducibles, (1, 1, 1, 1, 1))),
+        ("D4_123452", d4, combination(t_d4.irreducibles, (1, 1, 1, 1, 2))),
     )
     families = []
     for name, g, target in spec:
@@ -276,18 +265,13 @@ def _z4_abelian_sweep(t: CharTable, target: ClassFunction) -> None:
     """Enumerate all multisets of the four linear Z4 characters with d <= 4.
     Cached on the verified Z4 table and the target it is swept against."""
     triv = trivial_character(t.group)
-    for ns in itertools.product(range(5), repeat=4):
+    for ns in multiplicity_vectors(t.degrees(), 4):
         d = sum(ns)
-        if d == 0 or d > 4:
-            continue
-        chi_u = None
-        for n, chi in zip(ns, t.irreducibles):
-            for _ in range(n):
-                chi_u = chi if chi_u is None else chi_u + chi
-        m1 = inner_product(triv, conj_character(chi_u))
+        cchi = conj_character(combination(t.irreducibles, ns))
+        m1 = inner_product(triv, cchi)
         if m1.as_int() != sum(n * n for n in ns):
             raise ClassifierInconsistency(f"m1 formula fails at multiplicities {ns}")
-        if conj_character(chi_u) == target:
+        if cchi == target:
             raise ClassifierInconsistency(
                 f"an abelian candidate {ns} matched the target; the obstruction is wrong"
             )
@@ -315,25 +299,14 @@ def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
 
 
 @lru_cache(maxsize=8)
-def _chi5_parity_sweep(t: CharTable) -> int:
-    """Verify m5 = 2e(a+b+c+d) (even) for every chi_U of degree <= 4; returns
-    the number of characters swept.  Cached on the verified D4 table."""
-    count = 0
-    for a, b, c, d, e in itertools.product(range(5), range(5), range(5), range(5), range(3)):
-        deg = a + b + c + d + 2 * e
-        if deg == 0 or deg > 4:
-            continue
-        chi_u = None
-        for n, chi in zip((a, b, c, d, e), t.irreducibles):
-            for _ in range(n):
-                chi_u = chi if chi_u is None else chi_u + chi
-        m5 = decompose(conj_character(chi_u), t)[4]
-        if m5 != 2 * e * (a + b + c + d) or m5 % 2 != 0:
-            raise ClassifierInconsistency(
-                f"chi5 multiplicity formula fails at {(a, b, c, d, e)}: got {m5}"
-            )
-        count += 1
-    return count
+def _chi5_parity_sweep(t: CharTable) -> None:
+    """Verify m5 = 2e(a+b+c+d) (even) for every chi_U of degree <= 4.
+    Cached on the verified D4 table."""
+    for ns in multiplicity_vectors(t.degrees(), 4):
+        *abcd, e = ns
+        m5 = decompose(conj_character(combination(t.irreducibles, ns)), t)[4]
+        if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
+            raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
 
 
 def check_parity(f: Family) -> Optional[ObstructionRecord]:
@@ -393,30 +366,6 @@ def check_reflection_vanishing(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
-def _exhaustion_record(f: Family, tag: str) -> ObstructionRecord:
-    """Fallback per-class record when no named check covers a witness-less
-    class: the direct exhaustion over that class's irreducibles."""
-    if tag == TRIVIAL:
-        return ObstructionRecord(
-            kind=ObstructionKind.TRIVIAL_CLASS_MISMATCH,
-            detail=(
-                "exhausting the ordinary irreducibles of D4: the only 4-dimensional "
-                "conjugation character in the trivial class is chi1+chi2+chi3+chi4, "
-                "which differs from the target"
-            ),
-            scope=(TRIVIAL,),
-        )
-    return ObstructionRecord(
-        kind=ObstructionKind.IRREDUCIBILITY_FORCED,
-        detail=(
-            "the trivial character occurs once, forcing an irreducible candidate; "
-            "both non-trivial-class irreducibles (chiE1, chiE3) give conjugation "
-            "character chi1+chi2+chi5, which differs from the target"
-        ),
-        scope=(NONTRIVIAL,),
-    )
-
-
 def classify(f: Family) -> Verdict:
     """Run the obstruction battery and the witness enumeration, cross-checked."""
     witnesses = tuple(enumerate_witnesses(f))
@@ -447,10 +396,6 @@ def classify(f: Family) -> Verdict:
         return Verdict(family=f, realizable=True, witness=witnesses[0],
                        witnesses=witnesses, obstructions=())
 
-    for tag in f.candidate_classes():
-        if tag not in covered:
-            fired.append(_exhaustion_record(f, tag))
-            covered.add(tag)
     if set(f.candidate_classes()) - covered:
         raise ClassifierInconsistency(f"{f.name}: obstructions fail to cover all classes")
     return Verdict(family=f, realizable=False, witness=None,

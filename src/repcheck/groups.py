@@ -56,7 +56,7 @@ class GroupTable:
         self._verify()
         self.inv_table = tuple(self._find_inverse(a) for a in range(self.order))
         # once: the table is immutable, and every cache keyed on a group hashes it
-        self._hash = hash((self.name, self.mul_table))
+        self._hash = hash((self.mul_table, self.element_words))
 
     def _verify(self) -> None:
         n = self.order

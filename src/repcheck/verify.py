@@ -16,9 +16,11 @@ from fractions import Fraction
 from .characters import (
     ProjectiveClassTag,
     char_table,
+    combination,
     conj_character,
     decompose,
     inner_product,
+    multiplicity_vectors,
     projective_irreps_d4,
     push_to_quotient,
     trivial_character,
@@ -139,23 +141,15 @@ def _check_multiplicity_sweep() -> str:
     d4 = builtin_group("D4")
     t = char_table(d4)
     triv = trivial_character(d4)
-    count = 0
     seen_m1 = set()
-    for ns in itertools.product(range(7), range(7), range(7), range(7), range(4)):
-        deg = ns[0] + ns[1] + ns[2] + ns[3] + 2 * ns[4]
-        if deg == 0 or deg > 6:
-            continue
-        chi_u = None
-        for n, chi in zip(ns, t.irreducibles):
-            for _ in range(n):
-                chi_u = chi if chi_u is None else chi_u + chi
-        m1 = inner_product(triv, conj_character(chi_u))
+    sweep = multiplicity_vectors(t.degrees(), 6)
+    for ns in sweep:
+        m1 = inner_product(triv, conj_character(combination(t.irreducibles, ns)))
         expected = sum(n * n for n in ns)
         _require(m1 == CycloNum(expected), ns, m1)
         seen_m1.add(expected)
-        count += 1
     _require({1, 2, 4} <= seen_m1)
-    return f"m1 = sum n_i^2 over {count} characters of degree <= 6 (m1 hits 1, 2, 4)"
+    return f"m1 = sum n_i^2 over {len(sweep)} characters of degree <= 6 (m1 hits 1, 2, 4)"
 
 
 def _check_conj_steps() -> str:
@@ -211,35 +205,19 @@ def _check_brute_force_oracle() -> str:
         elif f.group.name == "K4":
             targets_on_d4[f.name] = k4_target_pulled_to_d4(f.target)
 
+    nontrivial = tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL))
+    sweeps = (
+        ("trivial", t4.irreducibles, conj_character),
+        ("non-trivial", nontrivial, lambda chi: push_to_quotient(conj_character(chi))),
+    )
     matches = []
-    for ns in itertools.product(range(5), range(5), range(5), range(5), range(3)):
-        deg = ns[0] + ns[1] + ns[2] + ns[3] + 2 * ns[4]
-        if deg == 0 or deg > 4:
-            continue
-        chi_u = None
-        for n, chi in zip(ns, t4.irreducibles):
-            for _ in range(n):
-                chi_u = chi if chi_u is None else chi_u + chi
-        cchi = conj_character(chi_u)
-        for fname, target in targets_on_d4.items():
-            if cchi == target:
-                _require(sum(n * n for n in ns) == 1, f"reducible {ns} matched {fname}")
-                matches.append((f"trivial:{ns}", fname))
-
-    nontrivial = projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL)
-    for m, n in itertools.product(range(3), range(3)):
-        deg = 2 * (m + n)
-        if deg == 0 or deg > 4:
-            continue
-        chi_u = None
-        for cnt, (_, chi) in zip((m, n), nontrivial):
-            for _ in range(cnt):
-                chi_u = chi if chi_u is None else chi_u + chi
-        cchi = push_to_quotient(conj_character(chi_u))
-        for fname, target in targets_on_d4.items():
-            if cchi == target:
-                _require(m * m + n * n == 1, f"reducible ({m},{n}) matched {fname}")
-                matches.append((f"non-trivial:{(m, n)}", fname))
+    for tag, irreps, conj in sweeps:
+        for ns in multiplicity_vectors([chi.dimension() for chi in irreps], 4):
+            cchi = conj(combination(irreps, ns))
+            for fname, target in targets_on_d4.items():
+                if cchi == target:
+                    _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
+                    matches.append((f"{tag}:{ns}", fname))
 
     matched_families = sorted({fname for _, fname in matches})
     _require(matched_families == ["D4_125", "K4_1234"], matched_families)

@@ -15,9 +15,11 @@ from repcheck.characters import (
     TableVerificationFailed,
     _RAW_TABLES,
     char_table,
+    combination,
     conj_character,
     decompose,
     inner_product,
+    multiplicity_vectors,
     projective_irreps_d4,
     pullback,
     push_to_quotient,
@@ -281,6 +283,38 @@ def test_chi5_multiplicity_of_conjugation_characters_is_even():
         m5 = decompose(conj_character(chi_u), T4)[4]
         assert m5 == 2 * ns[4] * (ns[0] + ns[1] + ns[2] + ns[3])
         assert m5 % 2 == 0
+
+
+@pytest.mark.parametrize("degrees,bound,count", [
+    ((1, 1, 1, 1), 4, 69),
+    ((1, 1, 1, 1, 2), 4, 85),
+    ((1, 1, 1, 1, 2), 6, 295),
+    ((2, 2), 4, 5),
+])
+def test_multiplicity_vectors_match_the_filtered_product(degrees, bound, count):
+    ranges = (range(bound // d + 1) for d in degrees)
+    expected = [
+        ns for ns in itertools.product(*ranges)
+        if 0 < sum(n * d for n, d in zip(ns, degrees)) <= bound
+    ]
+    assert list(multiplicity_vectors(degrees, bound)) == expected
+    assert len(expected) == count
+
+
+@pytest.mark.parametrize("ns", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 2), (1, 1, 0, 0, 1), (3, 0, 2, 0, 1)])
+def test_combination_is_repeated_addition(ns):
+    by_hand = None
+    for n, chi in zip(ns, T4.irreducibles):
+        for _ in range(n):
+            by_hand = chi if by_hand is None else by_hand + chi
+    assert combination(T4.irreducibles, ns) == by_hand
+
+
+def test_combination_refuses_an_all_zero_or_misaligned_vector():
+    with pytest.raises(ValueError):
+        combination(T4.irreducibles, (0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        combination(T4.irreducibles, (1, 1))
 
 
 def test_corrupted_table_entry_is_caught_at_load(monkeypatch):

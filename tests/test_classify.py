@@ -16,6 +16,7 @@ from repcheck.characters import (
 )
 from repcheck.classify import (
     FAMILY_NAMES,
+    ClassifierInconsistency,
     Family,
     ObstructionKind,
     WrongGroup,
@@ -212,12 +213,21 @@ def test_verdicts_do_not_depend_on_check_order():
 
 def test_battery_agrees_with_witness_enumeration():
     """Cross-validation: a class is killed by a named check iff it lacks a
-    witness, except where only the exhaustion fallback covers it."""
+    witness."""
     for f in seven_families():
         v = classify(f)  # raises ClassifierInconsistency on disagreement
         witness_classes = {w.projective_class for w in v.witnesses}
         for rec in v.obstructions:
             assert not (set(rec.scope) & witness_classes)
+
+
+def test_uncovered_class_raises_instead_of_a_canned_record():
+    """A witness-less target that no named check rules out is a coverage
+    gap, not an obstruction."""
+    toy = Family("toy", D4, T4.irreducibles[0] + T4.irreducibles[1], 2)
+    assert enumerate_witnesses(toy) == []
+    with pytest.raises(ClassifierInconsistency, match="fail to cover"):
+        classify(toy)
 
 
 def test_brute_force_sweep_no_reducible_character_matches():

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, determinism, exit codes, fault detection."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -156,6 +157,27 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["realizable"] == ["K4_1234", "D4_125"]
+
+
+# sha256 of the output bytes of the parent design; a refactor of the
+# classifier or the battery must leave every one of them unchanged
+CLASSIFY_JSON_SHA256 = "cc1976bfa2019cdd270592b131f54349fa6fe2f1cf7ad62f974c5e777ee8362f"
+CLASSIFY_TEXT_SHA256 = "5c2f2966a6a557c1c91fc7c2b3c48a9460d8edea4dc45cd474528f1118cdce9e"
+VERIFY_ALL_SHA256 = "b57a65e5c91e3ed59944fb88280e9bb595c4c134053c2444dab7f2d0d61b2798"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, "classify", "--json", "--out", str(path)) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSIFY_JSON_SHA256
+    code, out = run_cli(capsys, "classify")
+    assert code == 0 and _sha256(out) == CLASSIFY_TEXT_SHA256
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 0 and _sha256(out) == VERIFY_ALL_SHA256, out
 
 
 def test_verify_all_passes_on_correct_build(capsys):

@@ -208,3 +208,10 @@ def test_dump_format():
     assert text[0] == "group K4 order 4"
     assert len(text) == 5
     assert text[1].split() == ["e", "a", "b", "ab"]
+
+
+def test_equal_copy_under_another_name_has_an_equal_hash():
+    k4 = builtin_group("K4")
+    copy = GroupTable("K4copy", k4.mul_table, k4.element_words)
+    assert copy == k4
+    assert hash(copy) == hash(k4)
