@@ -5,6 +5,8 @@ orthogonality relations and the degree-sum identity once per distinct table
 content; a changed entry is verified again, so a corrupted entry cannot go
 unnoticed.  Class functions are indexed by the canonical
 conjugacy-class order from the groups module (lowest-index representatives).
+Character inner products and the column-orthogonality sums go through the
+package's one Hermitian inner-product kernel, ``cyclo.inner``.
 
 The two projective classes of D4 are handled through its order-16 cover:
 the non-trivial class corresponds to the irreducible characters of D8 on
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .cyclo import CycloNum, I, ONE, SQRT2, ZERO
+from .cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
 from .groups import (
     GroupHom,
     GroupTable,
@@ -68,6 +70,14 @@ class ClassFunction:
         if len(self.values) != k:
             raise ValueError(f"expected {k} class values, got {len(self.values)}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.values))
+
+    def __hash__(self) -> int:
+        # immutable, so hashed once on first use; __eq__ stays the dataclass one
+        return self._hash
+
     def at_element(self, a: int) -> CycloNum:
         return self.values[conjugacy_classes(self.group).class_of[a]]
 
@@ -89,6 +99,14 @@ class CharTable:
     group: GroupTable
     labels: tuple[str, ...]
     irreducibles: tuple[ClassFunction, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.labels, self.irreducibles))
+
+    def __hash__(self) -> int:
+        # immutable, so hashed once on first use; __eq__ stays the dataclass one
+        return self._hash
 
     def by_label(self, label: str) -> ClassFunction:
         return self.irreducibles[self.labels.index(label)]
@@ -134,11 +152,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
     """Class-size-weighted sum (1/|G|) sum_K |K| conj(a(K)) b(K)."""
     if a.group != b.group:
         raise GroupMismatch(f"{a.group.name} vs {b.group.name}")
-    sizes = conjugacy_classes(a.group).sizes
-    total = ZERO
-    for size, x, y in zip(sizes, a.values, b.values):
-        total = total + CycloNum(size) * x.conjugate() * y
-    return total * CycloNum(Fraction(1, a.group.order))
+    return inner(a.values, b.values, conjugacy_classes(a.group).sizes, a.group.order)
 
 
 def decompose(f: ClassFunction, t: CharTable) -> tuple[int, ...]:
@@ -323,15 +337,13 @@ def _verify_table(t: CharTable, sizes: Sequence[int]) -> None:
                 raise TableVerificationFailed(
                     f"{g.name}: <{t.labels[i]},{t.labels[j]}> != {expected}"
                 )
+    columns = tuple(zip(*(chi.values for chi in t.irreducibles)))
     for kk in range(k):
         for ll in range(k):
-            total = ZERO
-            for chi in t.irreducibles:
-                total = total + chi.values[kk].conjugate() * chi.values[ll]
             expected = (
                 CycloNum(Fraction(g.order, sizes[kk])) if kk == ll else ZERO
             )
-            if total != expected:
+            if inner(columns[kk], columns[ll]) != expected:
                 raise TableVerificationFailed(
                     f"{g.name}: column orthogonality fails at classes {kk},{ll}"
                 )
@@ -371,10 +383,11 @@ def push_to_quotient(f: ClassFunction) -> ClassFunction:
     if f.group != d8:
         raise GroupMismatch(f"expected a class function on D8, got {f.group.name}")
     z4 = 4
+    class_of = conjugacy_classes(d8).class_of
     for g in d8.elements():
-        if f.at_element(d8.mul(z4, g)) != f.at_element(g):
+        if f.values[class_of[d8.mul(z4, g)]] != f.values[class_of[g]]:
             raise NotDescendable(
                 f"value changes across the coset of {d8.word(g)}: not constant on <z4> cosets"
             )
     d4 = builtin_group("D4")
-    return ClassFunction(d4, tuple(f.at_element(x) for x in D8_LIFTS_OF_D4_REPS))
+    return ClassFunction(d4, tuple(f.values[class_of[x]] for x in D8_LIFTS_OF_D4_REPS))

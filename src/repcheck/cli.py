@@ -34,6 +34,9 @@ from .verify import run_all
 # build a billion-digit power of ten
 _MAX_EXPONENT = 1000
 
+# simulate-swap keeps every round and the whole payload in memory
+MAX_ROUNDS = 100_000
+
 _OUTPUT_FORMATS = ("", "text", "json")
 
 
@@ -172,6 +175,8 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
 def _cmd_simulate_swap(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         raise BadInput("--rounds must be >= 1")
+    if args.rounds > MAX_ROUNDS:
+        raise BadInput(f"--rounds must be <= {MAX_ROUNDS}")
     _, inst = povm_construction()
     detailed = iterate_swap_detailed(args.rounds, seed=args.seed, inst=inst)
     if _wants_json(args):
@@ -251,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate_teleport)
 
     p = sub.add_parser("simulate-swap", help="run chained entanglement swaps exactly")
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=1,
+                   help=f"number of chained swaps, 1 to {MAX_ROUNDS} (default 1)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for outcome selection (default: round-robin)")
     p.add_argument("--json", action="store_true")

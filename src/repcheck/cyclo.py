@@ -10,13 +10,19 @@ representation, and equality and hashing compare it directly.  The public
 accessors (``coeffs``, ``display_coeffs``, ``as_fraction``) still return
 ``Fraction``s.  All operations are exact; floats appear only in the
 optional ``to_complex`` embedding.
+
+Every Hermitian inner product in the package (character inner products,
+column orthogonality, <v|w>, tr(X^dag Y)) goes through one kernel,
+``inner``, which sums weighted conj(x) * y on the integer numerators and
+reduces once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from typing import Union
+from typing import Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -218,10 +224,11 @@ class CycloNum:
         return self.is_rational() and self._d == 1
 
     def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        if self._d != 1:
             raise ValueError(f"{self!r} is not an integer")
-        return f.numerator
+        return self._n[0]
 
     def display_coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coefficients (a, b, c, d) with x = a + b*i + c*sqrt2 + d*i*sqrt2.
@@ -273,6 +280,42 @@ class CycloNum:
             else:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
+
+
+def inner(xs: Sequence[CycloNum], ys: Sequence[CycloNum],
+          weights: "Sequence[int] | None" = None, divisor: int = 1) -> CycloNum:
+    """sum_k weights[k] * conj(xs[k]) * ys[k] / divisor, exactly.
+
+    The one kernel behind every Hermitian inner product in the package
+    (class functions, vectors, Hilbert-Schmidt).  It adds integer numerators
+    over one running denominator, skips terms with a zero weight or factor,
+    and reduces once at the end.  Weights are integers, default all 1; the
+    divisor is a positive integer.  Unequal lengths raise ValueError.
+    """
+    if divisor < 1:
+        raise ValueError(f"divisor must be a positive integer, not {divisor}")
+    if weights is None:
+        weights = repeat(1, len(xs))
+    s0 = s1 = s2 = s3 = 0
+    den = 1
+    for w, x, y in zip(weights, xs, ys, strict=True):
+        a0, a1, a2, a3 = x._n
+        b0, b1, b2, b3 = y._n
+        if not (w and (a0 or a1 or a2 or a3) and (b0 or b1 or b2 or b3)):
+            continue
+        d = x._d * y._d
+        if d != den:
+            m = lcm(den, d)
+            if m != den:
+                k = m // den
+                s0, s1, s2, s3, den = s0 * k, s1 * k, s2 * k, s3 * k, m
+            w *= m // d
+        # conj(x) = (a0, -a3, -a2, -a1), then the z^4 = -1 product with y
+        s0 += w * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
+        s1 += w * (a0 * b1 + a1 * b2 + a2 * b3 - a3 * b0)
+        s2 += w * (a0 * b2 + a1 * b3 - a2 * b0 - a3 * b1)
+        s3 += w * (a0 * b3 - a1 * b0 - a2 * b1 - a3 * b2)
+    return _reduced(s0, s1, s2, s3, den * divisor)
 
 
 ZERO = CycloNum(0)

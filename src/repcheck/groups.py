@@ -107,13 +107,6 @@ class GroupTable:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def elements(self) -> range:
         return range(self.order)
 

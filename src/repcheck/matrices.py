@@ -6,17 +6,20 @@ matrix keeps its dense entries and, per row, the (column, value) pairs of its
 non-zero entries; products, applications and tensor products pay for those
 pairs only.  The protocol operators are mostly zeros (a 16x16 swap operator
 I x M x I has 16 non-zero entries), while a dense matrix costs the same as a
-plain triple loop.
+plain triple loop.  <v|w> and tr(X^dag Y) go through the package's one
+Hermitian inner-product kernel, ``cyclo.inner``, which skips zero terms
+itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .cyclo import CycloNum, ONE, ZERO
+from .cyclo import CycloNum, ONE, ZERO, inner
 
 Scalar = Union[CycloNum, int, Fraction]
 Vector = tuple[CycloNum, ...]
@@ -170,14 +173,18 @@ def _total(terms: list[CycloNum]) -> CycloNum:
 
 
 def hs_inner(x: ExactMatrix, y: ExactMatrix) -> CycloNum:
-    """Hilbert-Schmidt inner product tr(X^dag Y)."""
-    return (x.dagger() @ y).trace()
+    """Hilbert-Schmidt inner product tr(X^dag Y) = sum_ij conj(X_ij) Y_ij."""
+    x._check_shape(y)
+    return inner(_flat(x), _flat(y))
+
+
+def _flat(m: ExactMatrix) -> Vector:
+    return tuple(chain.from_iterable(m.entries))
 
 
 def vec_inner(v: Vector, w: Vector) -> CycloNum:
     """<v|w>, conjugate-linear in the first argument."""
-    return _total([a.conjugate() * b for a, b in zip(v, w)
-                   if not (a.is_zero() or b.is_zero())])
+    return inner(v, w)
 
 
 def vec_norm_sq(v: Vector) -> Fraction:
@@ -187,15 +194,6 @@ def vec_norm_sq(v: Vector) -> Fraction:
     v = (1 + zeta, 1); vec_inner(v, v) returns such a norm as a field element.
     """
     return vec_inner(v, v).as_fraction()
-
-
-def vec_add(v: Vector, w: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(v, w))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    cc = _as_cyclo(c)
-    return tuple(cc * a for a in v)
 
 
 def vec_tensor(v: Vector, w: Vector) -> Vector:
@@ -227,6 +225,4 @@ def matrix_proportionality(a: ExactMatrix, b: ExactMatrix) -> "CycloNum | None":
     """The scalar c with A = c*B, or None."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         return None
-    va = tuple(x for row in a.entries for x in row)
-    vb = tuple(x for row in b.entries for x in row)
-    return proportionality(va, vb)
+    return proportionality(_flat(a), _flat(b))

@@ -266,7 +266,7 @@ def _check_povm() -> str:
     for j in range(4):
         for k in range(4):
             expected = CycloNum(2 if j == k else 0)
-            _require(((s @ pauli(j)).dagger() @ (s @ pauli(k))).trace() == expected)
+            _require(hs_inner(s @ pauli(j), s @ pauli(k)) == expected)
     return "8 effects sum to identity; Kraus complete; tr((S sj)^dag S sk) = 2 delta_jk"
 
 

@@ -150,6 +150,32 @@ def test_simulate_swap_rejects_bad_rounds(capsys):
     assert code == 2
 
 
+def test_rounds_above_the_cap_are_refused_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate-swap started work on a refused --rounds")
+
+    monkeypatch.setattr(cli, "povm_construction", no_work)
+    monkeypatch.setattr(cli, "iterate_swap_detailed", no_work)
+    code = cli.main(["simulate-swap", "--rounds", str(cli.MAX_ROUNDS + 1)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --rounds must be <= {cli.MAX_ROUNDS}\n"
+
+
+def test_rounds_at_the_cap_reach_the_simulator(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "iterate_swap_detailed",
+                        lambda rounds, seed, inst: seen.append(rounds) or [])
+    assert cli.main(["simulate-swap", "--rounds", str(cli.MAX_ROUNDS)]) == 0
+    assert seen == [cli.MAX_ROUNDS]
+
+
+def test_swap_help_states_the_rounds_cap(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["simulate-swap", "--help"])
+    assert f"1 to {cli.MAX_ROUNDS}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out = run_cli(capsys, "classify", "--json", "--out", str(path))

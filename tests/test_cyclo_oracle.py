@@ -10,11 +10,15 @@ package is installed.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import cyclo_oracle as oracle
-from repcheck.cyclo import CycloNum
+from repcheck.characters import ClassFunction, char_table, inner_product
+from repcheck.cyclo import SQRT2, CycloNum, inner
+from repcheck.groups import BUILTIN_NAMES, builtin_group, conjugacy_classes
+from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
 
 GALOIS_KS = (1, 3, 5, 7)
 POWERS = range(-3, 6)
@@ -148,3 +152,163 @@ def test_hypothesis_matches_oracle():
         check_binary(xs, ys)
 
     check()
+
+
+# ----------------------------------------------------------------------
+# the Hermitian inner-product kernel, against sums of oracle products
+
+CLASS_SIZES = sorted({s for name in BUILTIN_NAMES
+                      for s in conjugacy_classes(builtin_group(name)).sizes})
+
+
+def to_oracle(x: CycloNum) -> oracle.CycloNum:
+    return oracle.CycloNum(*x.coeffs)
+
+
+def naive_inner(xs, ys, weights, divisor) -> oracle.CycloNum:
+    """sum_k w_k conj(x_k) y_k / divisor, one oracle operation at a time."""
+    total = oracle.CycloNum(0)
+    for w, x, y in zip(weights, xs, ys, strict=True):
+        total = total + oracle.CycloNum(w) * to_oracle(x).conjugate() * to_oracle(y)
+    return total / divisor
+
+
+def assert_canonical(x: CycloNum) -> None:
+    assert all(type(n) is int for n in x._n) and type(x._d) is int and x._d > 0
+    assert gcd(*x._n, x._d) == 1
+
+
+def check_inner(xs, ys, weights, divisor) -> None:
+    got = inner(xs, ys, weights, divisor)
+    want = naive_inner(xs, ys, [1] * len(xs) if weights is None else weights, divisor)
+    same(got, want)
+    assert_canonical(got)
+
+
+def rand_entry(rng: random.Random) -> CycloNum:
+    """A zero entry a fifth of the time, else mixed-denominator coefficients."""
+    if rng.random() < 0.2:
+        return CycloNum(0)
+    return CycloNum(*rand_coeffs(rng))
+
+
+def rand_weight(rng: random.Random) -> int:
+    return rng.choice([0, rng.choice(CLASS_SIZES), rng.randint(-16, 16)])
+
+
+def test_inner_kernel_seeded_sweep_matches_oracle():
+    rng = random.Random(606)
+    for n in range(17):
+        for _ in range(12):
+            xs = tuple(rand_entry(rng) for _ in range(n))
+            ys = tuple(rand_entry(rng) for _ in range(n))
+            weights = rng.choice([None, [rand_weight(rng) for _ in range(n)]])
+            divisor = rng.randint(1, 16)
+            check_inner(xs, ys, weights, divisor)
+            check_inner(xs, xs, weights, divisor)
+
+
+def test_inner_kernel_edge_values():
+    z = CycloNum.zeta(1)
+    half_sqrt2 = CycloNum(0, Fraction(1, 2), 0, Fraction(-1, 2))
+    cases = [
+        ((), ()),
+        ((CycloNum(0),) * 5, tuple(CycloNum(k) for k in range(5))),
+        ((1 + z, CycloNum(1)), (1 + z, CycloNum(1))),  # |v|^2 = 3 + sqrt2
+        ((half_sqrt2, CycloNum(Fraction(1, 3), 0, Fraction(2, 7), 0)),
+         (CycloNum(0, Fraction(5, 6), 0, 0), CycloNum(Fraction(-4, 9), 0, 0, Fraction(1, 8)))),
+        (tuple(CycloNum.zeta(k) for k in range(8)), tuple(CycloNum.zeta(3 * k) for k in range(8))),
+    ]
+    for xs, ys in cases:
+        for weights in (None, [0] * len(xs), [len(xs) - k for k in range(len(xs))]):
+            for divisor in range(1, 17):
+                check_inner(xs, ys, weights, divisor)
+                check_inner(xs, xs, weights, divisor)
+    norm = inner(*cases[2])
+    assert norm == 3 + SQRT2 and not norm.is_rational()
+    assert inner(*cases[1]) == 0 and inner(*cases[1])._d == 1
+
+
+def test_inner_kernel_refuses_unequal_lengths_and_bad_divisors():
+    one = CycloNum(1)
+    with pytest.raises(ValueError):
+        inner((one, one), (one,))
+    with pytest.raises(ValueError):
+        inner((one,), (one,), weights=(1, 2))
+    for divisor in (0, -3):
+        with pytest.raises(ValueError):
+            inner((one,), (one,), divisor=divisor)
+
+
+def test_inner_kernel_hypothesis_matches_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    fractions = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(min_value=-50, max_value=50),
+                  st.integers(min_value=1, max_value=50)),
+    )
+    entries = st.one_of(
+        st.just(CycloNum(0)),
+        st.builds(CycloNum, fractions, fractions, fractions, fractions),
+    )
+    weights = st.one_of(st.just(0), st.sampled_from(CLASS_SIZES),
+                        st.integers(min_value=-16, max_value=16))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(min_value=0, max_value=16))
+        xs = draw(st.lists(entries, min_size=n, max_size=n))
+        ys = draw(st.lists(entries, min_size=n, max_size=n))
+        ws = draw(st.one_of(st.none(), st.lists(weights, min_size=n, max_size=n)))
+        return xs, ys, ws, draw(st.integers(min_value=1, max_value=16))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        xs, ys, ws, divisor = case
+        check_inner(xs, ys, ws, divisor)
+        check_inner(xs, xs, ws, divisor)
+
+    check()
+
+
+def test_inner_product_matches_the_class_size_weighted_sum():
+    rng = random.Random(607)
+    for name in BUILTIN_NAMES:
+        g = builtin_group(name)
+        sizes = conjugacy_classes(g).sizes
+        fs = list(char_table(g).irreducibles)
+        fs += [ClassFunction(g, tuple(rand_entry(rng) for _ in sizes)) for _ in range(6)]
+        for a in fs:
+            for b in fs:
+                same(inner_product(a, b), naive_inner(a.values, b.values, sizes, g.order))
+
+
+def test_vec_inner_matches_the_plain_sum():
+    rng = random.Random(608)
+    for n in range(17):
+        for _ in range(6):
+            v = tuple(rand_entry(rng) for _ in range(n))
+            w = tuple(rand_entry(rng) for _ in range(n))
+            same(vec_inner(v, w), naive_inner(v, w, [1] * n, 1))
+            same(vec_inner(v, v), naive_inner(v, v, [1] * n, 1))
+
+
+def test_hs_inner_matches_the_entrywise_sum():
+    rng = random.Random(609)
+    for rows, cols in [(1, 1), (2, 2), (2, 3), (4, 4), (3, 1), (4, 2)]:
+        for _ in range(4):
+            x = ExactMatrix([[rand_entry(rng) for _ in range(cols)] for _ in range(rows)])
+            y = ExactMatrix([[rand_entry(rng) for _ in range(cols)] for _ in range(rows)])
+            want = oracle.CycloNum(0)
+            for i in range(rows):
+                for j in range(cols):
+                    want = want + to_oracle(x[i, j]).conjugate() * to_oracle(y[i, j])
+            same(hs_inner(x, y), want)
+    square = ExactMatrix([[CycloNum(1)] * 2] * 2)
+    for other in (ExactMatrix([[CycloNum(1)] * 3] * 2), ExactMatrix([[CycloNum(1)] * 2] * 3)):
+        with pytest.raises(ValueError):
+            hs_inner(square, other)
