@@ -54,6 +54,15 @@ def _parts(x) -> "tuple[tuple[int, int, int, int], int] | None":
     return None
 
 
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of a rational coefficient, in lowest terms."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is not Fraction:
+        c = Fraction(c)  # bools, int and Fraction subclasses, strings, floats
+    return c.numerator, c.denominator
+
+
 class CycloNum:
     """An element of Q(zeta_8), immutable and hashable."""
 
@@ -64,10 +73,10 @@ class CycloNum:
             self._n = (c0, c1, c2, c3)
             self._d = 1
             return
-        fs = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-        # each Fraction is reduced, so numerators over the lcm share no factor
-        d = lcm(*(f.denominator for f in fs))
-        self._n = tuple(f.numerator * (d // f.denominator) for f in fs)
+        (n0, d0), (n1, d1), (n2, d2), (n3, d3) = map(_ratio, (c0, c1, c2, c3))
+        # each ratio is reduced, so numerators over the lcm share no factor
+        d = lcm(d0, d1, d2, d3)
+        self._n = (n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), n3 * (d // d3))
         self._d = d
 
     @property
@@ -93,11 +102,14 @@ class CycloNum:
     # arithmetic
 
     def __add__(self, other) -> CycloNum:
-        p = _parts(other)
-        if p is None:
-            return NotImplemented
+        if type(other) is CycloNum:
+            (b0, b1, b2, b3), db = other._n, other._d
+        else:
+            p = _parts(other)
+            if p is None:
+                return NotImplemented
+            (b0, b1, b2, b3), db = p
         (a0, a1, a2, a3), da = self._n, self._d
-        (b0, b1, b2, b3), db = p
         if da == db:
             if da == 1:
                 return _raw((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
@@ -126,11 +138,14 @@ class CycloNum:
         return _raw(*p) + (-self)
 
     def __mul__(self, other) -> CycloNum:
-        p = _parts(other)
-        if p is None:
-            return NotImplemented
+        if type(other) is CycloNum:
+            (b0, b1, b2, b3), db = other._n, other._d
+        else:
+            p = _parts(other)
+            if p is None:
+                return NotImplemented
+            (b0, b1, b2, b3), db = p
         a0, a1, a2, a3 = self._n
-        (b0, b1, b2, b3), db = p
         # z^4 = -1 folds the degree 4..6 terms back with a sign flip
         c0 = a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
         c1 = a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
@@ -249,6 +264,8 @@ class CycloNum:
     # comparison / hashing / formatting
 
     def __eq__(self, other) -> bool:
+        if type(other) is CycloNum:
+            return self._n == other._n and self._d == other._d
         p = _parts(other)
         if p is None:
             return NotImplemented

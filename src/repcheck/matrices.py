@@ -9,6 +9,11 @@ I x M x I has 16 non-zero entries), while a dense matrix costs the same as a
 plain triple loop.  <v|w> and tr(X^dag Y) go through the package's one
 Hermitian inner-product kernel, ``cyclo.inner``, which skips zero terms
 itself.
+
+The public constructor coerces every entry to CycloNum and refuses ragged
+rows.  Results built inside the class (products, sums, scalings, conjugates,
+transposes, tensor products) already hold tuple rows of CycloNum of a known
+width, so they skip both steps.
 """
 
 from __future__ import annotations
@@ -35,25 +40,38 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_nonzero", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        self.entries = tuple(tuple(_as_cyclo(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.entries):
+        rows = tuple(tuple(_as_cyclo(x) for x in row) for row in entries)
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
+        self._store(rows, cols)
+
+    @classmethod
+    def _of(cls, entries: tuple[Vector, ...], cols: int) -> ExactMatrix:
+        """A matrix from tuple rows of CycloNum, each of length cols, unchecked."""
+        m = object.__new__(cls)
+        m._store(entries, cols)
+        return m
+
+    def _store(self, entries: tuple[Vector, ...], cols: int) -> None:
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = cols if entries else 0  # as the public constructor: no rows, no columns
         # per row, the (column, value) pairs of its non-zero entries
         self._nonzero = tuple(
             tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
-            for row in self.entries
+            for row in entries
         )
         self._hash = None  # computed on first use: most matrices are never hashed
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        return cls._of(rows, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._of(((ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> ExactMatrix:
@@ -76,24 +94,24 @@ class ExactMatrix:
             self._hash = hash(self.entries)
         return self._hash
 
+    def _map(self, f, *others: ExactMatrix) -> ExactMatrix:
+        """f applied entrywise to self and others, which share self's shape."""
+        rows = zip(self.entries, *(o.entries for o in others))
+        return ExactMatrix._of(tuple(tuple(map(f, *rs)) for rs in rows), self.cols)
+
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         self._check_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._map(CycloNum.__add__, other)
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:
         self._check_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._map(CycloNum.__sub__, other)
 
     def __neg__(self) -> ExactMatrix:
-        return ExactMatrix([[-a for a in row] for row in self.entries])
+        return self._map(CycloNum.__neg__)
 
     def scale(self, c: Scalar) -> ExactMatrix:
-        cc = _as_cyclo(c)
-        return ExactMatrix([[cc * a for a in row] for row in self.entries])
+        return self._map(_as_cyclo(c).__mul__)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
@@ -104,18 +122,18 @@ class ExactMatrix:
             for k, a in row:
                 for j, b in other._nonzero[k]:
                     acc[j] = acc[j] + a * b
-            out.append(acc)
-        return ExactMatrix(out)
+            out.append(tuple(acc))
+        return ExactMatrix._of(tuple(out), other.cols)
 
     def _check_shape(self, other: ExactMatrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
     def transpose(self) -> ExactMatrix:
-        return ExactMatrix(list(zip(*self.entries)))
+        return ExactMatrix._of(tuple(zip(*self.entries)), self.rows)
 
     def conj(self) -> ExactMatrix:
-        return ExactMatrix([[a.conjugate() for a in row] for row in self.entries])
+        return self._map(CycloNum.conjugate)
 
     def dagger(self) -> ExactMatrix:
         return self.conj().transpose()
@@ -138,8 +156,8 @@ class ExactMatrix:
                 for i, a in ra:
                     for j, b in rb:
                         row[i * width + j] = a * b
-                out.append(row)
-        return ExactMatrix(out)
+                out.append(tuple(row))
+        return ExactMatrix._of(tuple(out), self.cols * width)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:

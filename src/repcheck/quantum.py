@@ -9,6 +9,12 @@ matrices instead of character tables.
 
 States are vectors over Q(zeta_8); probabilities are exact rationals.
 Qubit 0 is the leftmost tensor factor throughout.
+
+The fixed operators (Paulis, phase gate, Bell basis, corrections) are built
+once at import.  The POVM and its instrument are built and checked once per
+distinct Bell basis and phase gate; ``povm_construction`` returns a new list
+of the shared effects on every call, together with the one shared
+Instrument.
 """
 
 from __future__ import annotations
@@ -285,19 +291,33 @@ class Instrument:
 
 def povm_construction() -> tuple[list[Effect], Instrument]:
     """The eight effects (1/2)|b_k><b_k|, (1/2)|a_k><a_k| and their
-    Lueders instrument with Kraus operators (1/sqrt2)|.><.|."""
+    Lueders instrument with Kraus operators (1/sqrt2)|.><.|.
+
+    Built and checked once per distinct Bell basis and phase gate; every
+    call returns a new list over the shared, immutable effects, so editing
+    it leaves the next call's list whole, and the same Instrument, so the
+    swap caches compare it by identity.
+    """
+    effects, inst = _povm_built(_BELL_BASIS, _S)
+    return list(effects), inst
+
+
+@lru_cache(maxsize=4)
+def _povm_built(
+    basis: tuple[PureState, ...], s: ExactMatrix
+) -> tuple[tuple[Effect, ...], Instrument]:
     half = Fraction(1, 2)
 
     # b_k = (sigma_k x 1)|Phi>, a_k = (S sigma_k x 1)|Phi> = (S x 1)|b_k>
-    s_lift = _S.tensor(_EYE2)
-    vectors = [(f"b{k}", bk) for k, bk in enumerate(_BELL_BASIS)]
-    vectors += [(f"a{k}", PureState(s_lift.apply(bk.vector))) for k, bk in enumerate(_BELL_BASIS)]
+    s_lift = s.tensor(_EYE2)
+    vectors = [(f"b{k}", bk) for k, bk in enumerate(basis)]
+    vectors += [(f"a{k}", PureState(s_lift.apply(bk.vector))) for k, bk in enumerate(basis)]
 
-    effects = [
+    effects = tuple(
         Effect(label=lbl, scale=half, vector=v,
                matrix=outer(v.vector, v.vector).scale(half))
         for lbl, v in vectors
-    ]
+    )
 
     # both halves resolve the identity on their own
     for half_slice in (effects[:4], effects[4:]):

@@ -206,6 +206,30 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert code == 0 and _sha256(out) == VERIFY_ALL_SHA256, out
 
 
+def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
+    """main() reuses one parser; no flag or exit code may carry over."""
+    def call(argv, fresh=False):
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = [("classify", "--json"), ("classify",), ("simulate-swap", "--rounds", "0"),
+             ("verify-all",), ("classify", "--bogus")]
+    expected = {argv: call(argv, fresh=True) for argv in calls}
+    assert expected[("classify",)][1] != expected[("classify", "--json")][1]
+    assert expected[("simulate-swap", "--rounds", "0")] == (
+        2, "", "error: --rounds must be >= 1\n")
+    assert expected[("classify", "--bogus")][0] == 2
+    assert cli.build_parser() is not cli.build_parser()
+    for argv in calls + calls[::-1]:
+        assert call(argv) == expected[argv], argv
+
+
 def test_verify_all_passes_on_correct_build(capsys):
     code, out = run_cli(capsys, "verify-all")
     assert code == 0

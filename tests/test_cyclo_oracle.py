@@ -312,3 +312,73 @@ def test_hs_inner_matches_the_entrywise_sum():
     for other in (ExactMatrix([[CycloNum(1)] * 3] * 2), ExactMatrix([[CycloNum(1)] * 2] * 3)):
         with pytest.raises(ValueError):
             hs_inner(square, other)
+
+
+# ----------------------------------------------------------------------
+# operand and constructor types: CycloNum operands take a fast path, every
+# other operand the coercion path, and both must agree with the oracle
+
+RATIONAL_OPERANDS = (0, 1, -3, True, False, Fraction(0), Fraction(-7, 4), Fraction(6, 3))
+
+
+def test_rational_operands_on_either_side_match_oracle():
+    rng = random.Random(4242)
+    for _ in range(40):
+        a, oa = pair(rand_coeffs(rng))
+        for q in RATIONAL_OPERANDS:
+            for got, want in ((a + q, oa + q), (q + a, q + oa), (a - q, oa - q),
+                              (q - a, q - oa), (a * q, oa * q), (q * a, q * oa)):
+                same(got, want)
+                assert_canonical(got)
+            assert (a == q) == (oa == q)
+            assert (q == a) == (q == oa)
+            assert (a == q) == (a == CycloNum(q))
+
+
+def test_constructor_mixing_int_bool_and_fraction_matches_oracle():
+    rng = random.Random(5151)
+    kinds = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.choice((True, False)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    )
+    for _ in range(300):
+        cs = tuple(rng.choice(kinds)() for _ in range(4))
+        x = CycloNum(*cs)
+        same(x, oracle.CycloNum(*cs))
+        assert_canonical(x)
+        assert x == CycloNum(*(Fraction(c) for c in cs))
+        assert hash(x) == hash(CycloNum(*(Fraction(c) for c in cs)))
+
+
+def test_equal_numerators_over_different_denominators_are_unequal():
+    rng = random.Random(6262)
+    cases = [((1, 0, 0, 0), 1, 2), ((1, 2, 0, 0), 3, 1), ((0, -1, 0, 5), 4, 7)]
+    while len(cases) < 200:
+        ns = tuple(rng.randint(-9, 9) for _ in range(4))
+        if gcd(*ns) == 1:
+            cases.append((ns, rng.randint(1, 9), rng.randint(1, 9)))
+    for ns, d1, d2 in cases:
+        a = CycloNum(*(Fraction(n, d1) for n in ns))
+        b = CycloNum(*(Fraction(n, d2) for n in ns))
+        assert a._n == b._n == ns
+        assert (a == b) == (d1 == d2) == (to_oracle(a) == to_oracle(b))
+        assert (a != b) == (d1 != d2)
+        assert (a * b == a * a) == (d1 == d2)
+        assert (a + b == a + a) == (d1 == d2)
+
+
+@pytest.mark.parametrize("other", ["a", 1.5, None, (1, 0, 0, 0)])
+def test_a_non_rational_operand_is_refused(other):
+    x = CycloNum(1, Fraction(1, 2), 0, -3)
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        other + x
+    with pytest.raises(TypeError):
+        x * other
+    with pytest.raises(TypeError):
+        other * x
+    assert (x == other) is False
+    assert (other == x) is False
+    assert (x != other) is True

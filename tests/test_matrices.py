@@ -260,3 +260,70 @@ def test_norm_sq_refuses_an_irrational_squared_norm():
         vec_norm_sq(v)
     with pytest.raises(ValueError, match="not rational"):
         PureState(v).norm_sq()
+
+
+# ----------------------------------------------------------------------
+# results built inside the class skip input coercion and the ragged-row
+# test; each must still be exactly what the public constructor builds
+
+def assert_well_formed(m):
+    assert type(m.entries) is tuple
+    for row in m.entries:
+        assert type(row) is tuple
+        assert all(type(x) is CycloNum for x in row)
+    ref = ExactMatrix(m.entries)
+    assert (m.rows, m.cols, m._nonzero) == (ref.rows, ref.cols, ref._nonzero)
+
+
+def built_results(a, b, c):
+    """Every result built inside the class from a, b (a's shape) and c
+    (a's columns as its rows)."""
+    yield a @ c
+    yield a + b
+    yield a - b
+    yield -a
+    for factor in (I, 3, Fraction(-1, 2), 0, ZERO):
+        yield a.scale(factor)
+    yield a.conj()
+    yield a.transpose()
+    yield a.dagger()
+    yield a.tensor(c)
+    yield c.tensor(a)
+    yield a.tensor(b.transpose())
+
+
+# (rows of a, cols of a, cols of c): no rows, 1xN, Nx1, non-square factors
+BUILD_SHAPES = [(0, 0, 0), (3, 0, 0), (1, 5, 1), (1, 5, 3), (5, 1, 5), (4, 1, 1),
+                (2, 3, 4), (4, 3, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("shape", BUILD_SHAPES, ids=lambda s: "{0}x{1}@{1}x{2}".format(*s))
+def test_results_built_inside_the_class_are_well_formed(shape):
+    n, k, m = shape
+    rng = random.Random(f"built:{shape}")
+    for zero_share in (0.0, 0.6, 1.0):
+        a = rand_sparse(rng, n, k, zero_share)
+        b = rand_sparse(rng, n, k, zero_share)
+        c = rand_sparse(rng, k, m, zero_share)
+        for result in built_results(a, b, c):
+            assert_well_formed(result)
+        assert (a @ c).cols == (m if n else 0)
+        assert (a @ c).entries == tuple(map(tuple, dense_matmul(a, c)))
+
+
+def test_identity_and_zeros_are_well_formed():
+    for n in range(5):
+        assert_well_formed(ExactMatrix.identity(n))
+        for cols in range(4):
+            assert_well_formed(ExactMatrix.zeros(n, cols))
+    assert (ExactMatrix.zeros(3, 0).rows, ExactMatrix.zeros(3, 0).cols) == (3, 0)
+
+
+def test_public_constructor_still_coerces_and_refuses_ragged_rows():
+    m = ExactMatrix([[1, Fraction(1, 2)], (True, I)])
+    assert_well_formed(m)
+    assert m.entries == ((ONE, CycloNum(Fraction(1, 2))), (ONE, I))
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix(((ONE, ZERO), (ONE,)))
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix([[ONE], []])

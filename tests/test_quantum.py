@@ -262,6 +262,49 @@ def test_povm_effects_resolve_identity():
     assert inst.is_complete()
 
 
+def test_povm_construction_shares_one_instrument():
+    effects, inst = povm_construction()
+    again, inst_again = povm_construction()
+    assert inst_again is inst
+    assert again is not effects
+    assert all(x is y for x, y in zip(again, effects))
+    assert [e.label for e in effects] == list(inst.labels)
+
+
+def test_editing_the_effects_list_leaves_the_next_call_whole():
+    effects, _ = povm_construction()
+    labels = [e.label for e in effects]
+    effects.pop()
+    effects[0] = None
+    effects.append("junk")
+    fresh, _ = povm_construction()
+    assert [e.label for e in fresh] == labels == [
+        "b0", "b1", "b2", "b3", "a0", "a1", "a2", "a3"
+    ]
+    total = ExactMatrix.zeros(4, 4)
+    for e in fresh:
+        total = total + e.matrix
+    assert total.is_identity()
+
+
+def test_a_replaced_bell_basis_is_built_and_checked_again(capsys, monkeypatch):
+    import repcheck.quantum as quantum
+    from repcheck import cli
+
+    assert cli.main(["verify-all"]) == 0
+    capsys.readouterr()
+    b0, _, b2, b3 = quantum._BELL_BASIS
+    monkeypatch.setattr(quantum, "_BELL_BASIS", (b0, b0, b2, b3))
+    with pytest.raises(IncompleteInstrument):
+        povm_construction()
+    assert cli.main(["verify-all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if " povm: " in line][0].startswith("FAIL povm: ")
+    monkeypatch.undo()
+    assert cli.main(["verify-all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "18/18 checks passed"
+
+
 def test_phase_twisted_family_is_orthonormal():
     s = phase_gate()
     for j in range(4):
