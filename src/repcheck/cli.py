@@ -64,17 +64,8 @@ def _dump(payload: str, out_path: Optional[str]) -> None:
         print(payload)
 
 
-def _wants_json(args: argparse.Namespace) -> bool:
-    env = os.environ.get("REPCHECK_OUTPUT", "").lower()
-    if env not in _OUTPUT_FORMATS:
-        raise BadInput(
-            f"REPCHECK_OUTPUT must be unset, empty, 'text' or 'json', not {env!r}"
-        )
-    return getattr(args, "json", False) or env == "json"
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if _wants_json(args):
+    if args.json:
         payload = json.dumps(full_report(), indent=2, sort_keys=True)
     else:
         payload = report_text()
@@ -91,7 +82,7 @@ def _cmd_show_table(args: argparse.Namespace) -> int:
     g = builtin_group(args.name)
     t = char_table(g)
     cc = conjugacy_classes(g)
-    if _wants_json(args):
+    if args.json:
         doc = {
             "group": g.name,
             "labels": list(t.labels),
@@ -145,7 +136,7 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
     if state.is_zero():
         raise BadInput("--state must be non-zero")
     trace = teleport(state)
-    if _wants_json(args):
+    if args.json:
         doc = {
             "input": [_cyclo_json(a) for a in state.vector],
             "outcomes": [
@@ -180,7 +171,7 @@ def _cmd_simulate_swap(args: argparse.Namespace) -> int:
         raise BadInput(f"--rounds must be <= {MAX_ROUNDS}")
     _, inst = povm_construction()
     detailed = iterate_swap_detailed(args.rounds, seed=args.seed, inst=inst)
-    if _wants_json(args):
+    if args.json:
         doc = {
             "rounds": [
                 {
@@ -282,6 +273,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # checked for every subcommand, before any work
+        env = os.environ.get("REPCHECK_OUTPUT", "").lower()
+        if env not in _OUTPUT_FORMATS:
+            raise BadInput(
+                f"REPCHECK_OUTPUT must be unset, empty, 'text' or 'json', not {env!r}"
+            )
+        args.json = getattr(args, "json", False) or env == "json"
         return args.fn(args)
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class GroupError(Exception):
@@ -39,17 +39,10 @@ BUILTIN_NAMES = ("K4", "Z4", "D4", "D8", "Pauli1")
 class GroupTable:
     """A finite group given by its multiplication table."""
 
-    def __init__(
-        self,
-        name: str,
-        mul: Sequence[Sequence[int]],
-        element_words: Sequence[str],
-        generator_names: Optional[Mapping[str, int]] = None,
-    ):
+    def __init__(self, name: str, mul: Sequence[Sequence[int]], element_words: Sequence[str]):
         self.name = name
         self.mul_table = tuple(tuple(int(x) for x in row) for row in mul)
         self.element_words = tuple(str(w) for w in element_words)
-        self.generator_names = dict(generator_names or {})
         self.order = len(self.mul_table)
         if len(self.element_words) != self.order:
             raise GroupError(f"{name}: {len(self.element_words)} words for order {self.order}")
@@ -157,14 +150,8 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return self.image[a]
 
-    def kernel(self) -> tuple[int, ...]:
-        return tuple(a for a in self.source.elements() if self.image[a] == 0)
-
     def is_surjective(self) -> bool:
         return set(self.image) == set(self.target.elements())
-
-    def is_injective(self) -> bool:
-        return len(set(self.image)) == self.source.order
 
 
 def verify_hom(h: GroupHom) -> bool:
@@ -255,12 +242,8 @@ def quotient(g: GroupTable, n: Iterable[int]) -> tuple[GroupTable, GroupHom]:
     k = len(reps)
     mul = [[image[g.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]
     words = [g.word(r) for r in reps]
-    gen_names = {}
-    for name, idx in g.generator_names.items():
-        if image[idx] != 0 and name not in gen_names:
-            gen_names[name] = image[idx]
     sub_words = ",".join(g.word(x) for x in sub)
-    q = GroupTable(f"{g.name}/{{{sub_words}}}", mul, words, gen_names)
+    q = GroupTable(f"{g.name}/{{{sub_words}}}", mul, words)
     proj = GroupHom(source=g, target=q, image=image)
     if not verify_hom(proj):
         raise GroupError(f"{g.name}: quotient projection is not a homomorphism")
@@ -343,14 +326,6 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
     return found
 
 
-def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
-    try:
-        find_isomorphism(a, b)
-        return True
-    except IsoNotFound:
-        return False
-
-
 # ----------------------------------------------------------------------
 # built-in presentations
 
@@ -375,7 +350,7 @@ def _dihedral(n: int, name: str, rot: str, ref: str) -> GroupTable:
         return (rpart + spart) or "e"
 
     words = [word(i, j) for j in range(2) for i in range(n)]
-    return GroupTable(name, mul, words, {rot: 1, ref: n})
+    return GroupTable(name, mul, words)
 
 
 # sigma_a * sigma_b = i^phase * sigma_prod, hard-coded from the Pauli algebra;
@@ -413,19 +388,18 @@ def _pauli_group() -> GroupTable:
     letters = ("I", "X", "Y", "Z")
     phases = ("", "i", "-", "-i")
     words = [f"{phases[k]}{letters[j]}" for j in range(4) for k in range(4)]
-    gens = {"iI": 1, "X": 4, "Y": 8, "Z": 12}
-    return GroupTable("Pauli1", mul, words, gens)
+    return GroupTable("Pauli1", mul, words)
 
 
 def _klein_four() -> GroupTable:
     # element index encodes (x, y) bits as x + 2y
     mul = [[(a ^ b) for b in range(4)] for a in range(4)]
-    return GroupTable("K4", mul, ["e", "a", "b", "ab"], {"a": 1, "b": 2})
+    return GroupTable("K4", mul, ["e", "a", "b", "ab"])
 
 
 def _cyclic_four() -> GroupTable:
     mul = [[(a + b) % 4 for b in range(4)] for a in range(4)]
-    return GroupTable("Z4", mul, ["e", "t", "t2", "t3"], {"t": 1})
+    return GroupTable("Z4", mul, ["e", "t", "t2", "t3"])
 
 
 @lru_cache(maxsize=None)

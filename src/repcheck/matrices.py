@@ -239,8 +239,13 @@ def proportionality(v: Vector, w: Vector) -> "CycloNum | None":
     return c if all(x == c * y for x, y in zip(v, w)) else None
 
 
-def matrix_proportionality(a: ExactMatrix, b: ExactMatrix) -> "CycloNum | None":
-    """The scalar c with A = c*B, or None."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        return None
-    return proportionality(_flat(a), _flat(b))
+def ray_key(m: ExactMatrix) -> ExactMatrix:
+    """m scaled so its first non-zero entry (row-major) is 1.
+
+    Two non-zero matrices are proportional exactly when their keys are
+    equal.  A zero matrix has no ray and raises ValueError.
+    """
+    pivot = next((row[0][1] for row in m._nonzero if row), None)
+    if pivot is None:
+        raise ValueError("a zero matrix has no ray")
+    return m.scale(pivot.inverse())

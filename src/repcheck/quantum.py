@@ -15,6 +15,10 @@ once at import.  The POVM and its instrument are built and checked once per
 distinct Bell basis and phase gate; ``povm_construction`` returns a new list
 of the shared effects on every call, together with the one shared
 Instrument.
+
+Both matrix groups, the 16 Pauli matrices and the corrections mod phases,
+are tabulated by one builder; ``matrices.ray_key`` identifies matrices that
+are equal up to a scalar.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .characters import ClassFunction
 from .cyclo import CycloNum, I, INV_SQRT2, ONE, ZERO, sqrt_of_fraction
@@ -31,9 +35,9 @@ from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find
 from .matrices import (
     ExactMatrix,
     Vector,
-    matrix_proportionality,
     outer,
     proportionality,
+    ray_key,
     vec_inner,
     vec_norm_sq,
     vec_tensor,
@@ -71,10 +75,6 @@ class PureState:
 
     vector: Vector
 
-    @classmethod
-    def from_amplitudes(cls, amps: Sequence) -> PureState:
-        return cls(tuple(a if isinstance(a, CycloNum) else CycloNum(a) for a in amps))
-
     @property
     def dim(self) -> int:
         return len(self.vector)
@@ -92,10 +92,6 @@ class PureState:
 
     def inner(self, other: PureState) -> CycloNum:
         return vec_inner(self.vector, other.vector)
-
-    def scaled(self, c) -> PureState:
-        cc = c if isinstance(c, CycloNum) else CycloNum(c)
-        return PureState(tuple(cc * a for a in self.vector))
 
     def proportional_to(self, other: PureState) -> "CycloNum | None":
         return proportionality(self.vector, other.vector)
@@ -534,60 +530,45 @@ def _matrix_closure(seeds: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     return order
 
 
-def _ray_partition(elements: Sequence[ExactMatrix]) -> tuple[list[int], list[ExactMatrix]]:
-    """Partition by proportionality; rays keep first-seen representatives."""
-    reps: list[ExactMatrix] = []
-    ray_of: list[int] = []
-    for m in elements:
-        for i, rep in enumerate(reps):
-            if matrix_proportionality(m, rep) is not None:
-                ray_of.append(i)
-                break
-        else:
-            ray_of.append(len(reps))
-            reps.append(m)
-    return ray_of, reps
+def _table(
+    name: str,
+    words: Sequence[str],
+    mats: Sequence[ExactMatrix],
+    key: Callable[[ExactMatrix], ExactMatrix],
+) -> GroupTable:
+    """The group of mats under @, labelled by words, with matrices identified
+    when their keys are equal.  Refuses two elements with one key and a
+    product whose key is not among them; one dict probe per product."""
+    index: dict[ExactMatrix, int] = {}
+    for i, m in enumerate(mats):
+        j = index.setdefault(key(m), i)
+        if j != i:
+            raise ValueError(f"{name}: {words[j]} and {words[i]} are one element")
+    try:
+        mul = [[index[key(a @ b)] for b in mats] for a in mats]
+    except KeyError:
+        raise ValueError(f"{name}: a product escapes the set") from None
+    return GroupTable(name, mul, words)
 
 
-def matrix_group_mod_phases(
-    seeds: Sequence[tuple[str, ExactMatrix]], name: str
-) -> tuple[GroupTable, list[ExactMatrix]]:
-    """Close seeds under multiplication, then quotient by scalar matrices.
+def matrix_group_mod_phases(seeds: Sequence[tuple[str, ExactMatrix]], name: str) -> GroupTable:
+    """The group the unitary seeds form modulo scalar matrices.
 
-    The seeds must be unitary and hit every ray exactly once (true for the
-    correction sets used here); their labels become the quotient's words.
+    The seeds must lie on distinct rays, and every product of two seeds on
+    a seed's ray; then the seeds' rays are the whole closure mod phases.
+    Their labels become the quotient's words.
     """
-    labels = [lbl for lbl, _ in seeds]
-    mats = [m for _, m in seeds]
     for lbl, m in seeds:
         if not m.is_unitary():
             raise ValueError(f"seed {lbl} is not unitary")
-    closure = _matrix_closure(mats)
-    ray_of, reps = _ray_partition(closure)
-    if len(reps) != len(seeds):
-        raise ValueError(
-            f"{name}: expected {len(seeds)} rays, found {len(reps)}"
-        )
-
-    def ray_index(m: ExactMatrix) -> int:
-        for i, rep in enumerate(reps):
-            if matrix_proportionality(m, rep) is not None:
-                return i
-        raise ValueError("element escaped the closure")
-
-    k = len(reps)
-    mul = [[ray_index(reps[i] @ reps[j]) for j in range(k)] for i in range(k)]
-    table = GroupTable(name, mul, labels, None)
-    return table, reps
+    return _table(name, [lbl for lbl, _ in seeds], [m for _, m in seeds], ray_key)
 
 
 def correction_group_check() -> GroupHom:
     """The eight corrections mod phases form D4 (explicit isomorphism),
     and the four Paulis mod phases form K4; returns the D4 isomorphism."""
-    s = phase_gate()
-    correction_seeds = [(PAULI_LABELS[k], pauli(k)) for k in range(4)]
-    correction_seeds += [("S" if k == 0 else f"S{PAULI_LABELS[k]}", s @ pauli(k)) for k in range(4)]
-    ray_group, reps = matrix_group_mod_phases(correction_seeds, "corrections/phases")
+    correction_seeds = [seed for _, seed in _STANDARD_CORRECTIONS]
+    ray_group = matrix_group_mod_phases(correction_seeds, "corrections/phases")
     if ray_group.order != 8:
         raise ValueError(f"correction quotient has order {ray_group.order}, expected 8")
 
@@ -603,20 +584,13 @@ def correction_group_check() -> GroupHom:
 
     # Pauli-only case: full matrix group is the built-in Pauli group,
     # and mod phases it collapses to K4
-    pauli_seeds = [(PAULI_LABELS[k], pauli(k)) for k in range(4)]
+    pauli_seeds = correction_seeds[:4]
     pauli_closure = _matrix_closure([m for _, m in pauli_seeds])
-    if len(pauli_closure) != 16:
-        raise ValueError(f"Pauli closure has order {len(pauli_closure)}, expected 16")
-    mat_index = {m: i for i, m in enumerate(pauli_closure)}
-    mul = [
-        [mat_index[a @ b] for b in pauli_closure]
-        for a in pauli_closure
-    ]
-    words = [f"m{i}" for i in range(16)]
-    pauli_matrix_group = GroupTable("PauliMatrices", mul, words, None)
+    words = [f"m{i}" for i in range(len(pauli_closure))]
+    pauli_matrix_group = _table("PauliMatrices", words, pauli_closure, key=lambda m: m)
     find_isomorphism(pauli_matrix_group, builtin_group("Pauli1"))
 
-    pauli_quotient, _ = matrix_group_mod_phases(pauli_seeds, "paulis/phases")
+    pauli_quotient = matrix_group_mod_phases(pauli_seeds, "paulis/phases")
     if pauli_quotient.order != 4:
         raise ValueError("Pauli quotient does not have order 4")
     if any(pauli_quotient.element_order(x) != 2 for x in range(1, 4)):
@@ -652,9 +626,20 @@ def conj_rep_character_from_matrices(
     """
     if len(mats) != group.order:
         raise ValueError("need one matrix per group element")
+    keys = []
+    for g in group.elements():
+        try:
+            keys.append(ray_key(mats[g]))
+        except ValueError:
+            raise NotProjectiveRep(f"U[{group.word(g)}] is the zero matrix") from None
     for g in group.elements():
         for h in group.elements():
-            if matrix_proportionality(mats[g] @ mats[h], mats[group.mul(g, h)]) is None:
+            product = mats[g] @ mats[h]
+            try:
+                same_ray = ray_key(product) == keys[group.mul(g, h)]
+            except ValueError:  # a zero product lies on no ray
+                same_ray = False
+            if not same_ray:
                 raise NotProjectiveRep(
                     f"U[{group.word(g)}] U[{group.word(h)}] is not proportional to "
                     f"U[{group.word(group.mul(g, h))}]"

@@ -312,6 +312,18 @@ def test_text_output_formats_are_accepted(capsys, monkeypatch, value):
     assert out.rstrip().splitlines()[-1] == "realizable: K4_1234, D4_125"
 
 
-def test_unknown_output_format_is_refused(capsys, monkeypatch):
+@pytest.mark.parametrize("command", [
+    ["classify"], ["show-group", "K4"], ["show-table", "D4"], ["simulate-teleport"],
+    ["simulate-swap"], ["verify-all"],
+], ids=lambda command: command[0])
+def test_unknown_output_format_is_refused(capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command[0]} started work under a refused REPCHECK_OUTPUT")
+
+    # every subcommand refuses before it builds a report, a table or a
+    # protocol; verify-all before it runs any check
+    for name in ("full_report", "report_text", "builtin_group", "char_table", "teleport",
+                 "povm_construction", "iterate_swap_detailed", "run_all"):
+        monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setenv("REPCHECK_OUTPUT", "xml")
-    _assert_refused(capsys, cli.main(["classify"]))
+    _assert_refused(capsys, cli.main(command))

@@ -14,7 +14,6 @@ from repcheck.groups import (
     center,
     conjugacy_classes,
     find_isomorphism,
-    is_isomorphic,
     quotient,
     verify_hom,
 )
@@ -99,7 +98,7 @@ def test_quotient_d4_by_center_is_k4():
     # all non-identity elements square to the identity
     for a in range(1, 4):
         assert q.mul(a, a) == 0
-    assert is_isomorphic(q, builtin_group("K4"))
+    find_isomorphism(q, builtin_group("K4"))
 
 
 def test_quotient_d8_by_center_is_d4():
@@ -107,14 +106,14 @@ def test_quotient_d8_by_center_is_d4():
     q, proj = quotient(d8, center(d8))
     assert q.order == 8
     assert verify_hom(proj)
-    assert is_isomorphic(q, builtin_group("D4"))
+    find_isomorphism(q, builtin_group("D4"))
 
 
 def test_quotient_pauli_by_center_is_k4():
     p1 = builtin_group("Pauli1")
     q, proj = quotient(p1, center(p1))
     assert q.order == 4
-    assert is_isomorphic(q, builtin_group("K4"))
+    find_isomorphism(q, builtin_group("K4"))
     assert [q.element_words[i] for i in range(4)] == ["I", "X", "Y", "Z"]
 
 
@@ -128,7 +127,7 @@ def test_quotient_rejects_non_subgroup():
 
 def test_quotient_rejects_non_normal_subgroup():
     d4 = builtin_group("D4")
-    s = d4.generator_names["s"]
+    s = d4.element_words.index("s")
     with pytest.raises(NotNormal):
         quotient(d4, [0, s])  # <s> is not normal in D4
 
@@ -136,7 +135,7 @@ def test_quotient_rejects_non_normal_subgroup():
 def test_verify_hom_on_relation_respecting_map():
     # r -> a, s -> a lands in K4 because a^2 = e kills all relations
     d4, k4 = builtin_group("D4"), builtin_group("K4")
-    a = k4.generator_names["a"]
+    a = k4.element_words.index("a")
     image = []
     for i in range(2):  # reflections block j = 0, 1
         for k in range(4):
@@ -157,8 +156,8 @@ def test_verify_hom_rejects_relation_breaking_map():
 def test_hom_kernel_and_injectivity():
     d4 = builtin_group("D4")
     q, proj = quotient(d4, center(d4))
-    assert set(proj.kernel()) == set(center(d4))
-    assert not proj.is_injective()
+    assert {a for a in d4.elements() if proj.image[a] == 0} == set(center(d4))
+    assert len(set(proj.image)) < d4.order
 
 
 def test_find_isomorphism_produces_verified_hom():
@@ -166,7 +165,7 @@ def test_find_isomorphism_produces_verified_hom():
     q, _ = quotient(d8, center(d8))
     iso = find_isomorphism(q, builtin_group("D4"))
     assert verify_hom(iso)
-    assert iso.is_injective() and iso.is_surjective()
+    assert len(set(iso.image)) == iso.source.order and iso.is_surjective()
 
 
 def test_no_isomorphism_between_distinct_groups():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -9,9 +10,9 @@ from repcheck.cyclo import CycloNum, I, ONE, ZERO
 from repcheck.matrices import (
     ExactMatrix,
     hs_inner,
-    matrix_proportionality,
     outer,
     proportionality,
+    ray_key,
     vec_inner,
     vec_norm_sq,
     vec_tensor,
@@ -168,7 +169,33 @@ def test_proportionality_detects_rays():
     assert proportionality((ZERO, ZERO), (ZERO, ONE)) == ZERO  # zero vector: scalar 0
     assert proportionality((ZERO, ONE), (ZERO, ZERO)) is None
     m = rand_matrix(2)
-    assert matrix_proportionality(m.scale(I), m) == I
+    assert ray_key(m.scale(I)) == ray_key(m)
+
+
+def test_ray_key_is_one_key_per_ray():
+    zeta = CycloNum(0, 1, 0, 0)
+    m = ExactMatrix([[ZERO, CycloNum(Fraction(3, 2), 0, -1, 0)], [I, CycloNum(2)]])
+    key = ray_key(m)
+    assert key[0, 0] == ZERO and key[0, 1] == ONE  # first non-zero entry, row-major
+    for k in range(8):
+        assert ray_key(m.scale(zeta ** k)) == key
+    for _ in range(20):
+        c = ZERO
+        while c.is_zero():
+            c = CycloNum(*(Fraction(RNG.randint(-5, 5), RNG.randint(1, 4)) for _ in range(4)))
+        assert ray_key(m.scale(c)) == key
+
+
+def test_ray_key_tells_rays_apart():
+    x, z = ExactMatrix([[0, 1], [1, 0]]), ExactMatrix([[1, 0], [0, -1]])
+    e11, e12 = ExactMatrix([[1, 0], [0, 0]]), ExactMatrix([[0, 1], [0, 0]])
+    pairs = [(x, z), (ExactMatrix.identity(2), z), (e11, e12), (x, x + e11), (x, x.scale(I))]
+    pairs += [(rand_matrix(2), rand_matrix(2)) for _ in range(20)]
+    for a, b in pairs:
+        same = proportionality(tuple(chain(*a.entries)), tuple(chain(*b.entries)))
+        assert (ray_key(a) == ray_key(b)) == (same is not None)
+    with pytest.raises(ValueError, match="no ray"):
+        ray_key(ExactMatrix.zeros(2, 3))
 
 
 def test_str_uses_display_basis():

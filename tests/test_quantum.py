@@ -27,6 +27,7 @@ from repcheck.quantum import (
     entanglement_swap,
     iterate_swap,
     lifted_correction_rep_on_d8,
+    matrix_group_mod_phases,
     pauli,
     pauli_rep_on_k4,
     phase_gate,
@@ -154,7 +155,7 @@ def test_chsh_of_product_state():
     sx = [[0, 1], [1, 0]]
     m00 = sz[0][0] * sz[0][0] + sx[0][0] * sx[0][0]
     assert m00 == 1
-    state = PureState.from_amplitudes([1, 0, 0, 0])
+    state = PureState((ONE, ZERO, ZERO, ZERO))
     assert chsh_value(state, tsirelson_settings()) == SQRT2
 
 
@@ -174,7 +175,7 @@ def test_chsh_rejects_zero_state():
 # teleportation
 
 def test_teleport_of_basis_state():
-    state = PureState.from_amplitudes([1, 0])
+    state = PureState((ONE, ZERO))
     trace = teleport(state)
     quarter = Fraction(1, 4)
     # oracle: conditional for outcome k is sigma_k |psi> / 2 (literal 2x2s)
@@ -433,6 +434,18 @@ def test_correction_group_is_d4_mod_phases():
     assert src.element_order(src.element_words.index("X")) == 2
 
 
+def test_matrix_group_mod_phases_refuses_bad_seed_sets():
+    x, s = pauli(1), phase_gate()
+    with pytest.raises(ValueError, match="not unitary"):
+        matrix_group_mod_phases([("I", pauli(0)), ("2X", x.scale(2))], "bad")
+    # X and iX are one ray; every product still lies on a seed's ray
+    with pytest.raises(ValueError, match="one element"):
+        matrix_group_mod_phases([("I", pauli(0)), ("X", x), ("iX", x.scale(I))], "bad")
+    # S*S = Z lies on neither ray
+    with pytest.raises(ValueError, match="escapes"):
+        matrix_group_mod_phases([("I", pauli(0)), ("S", s)], "bad")
+
+
 def test_pvm_counting_line():
     line = pvm_counting_check()
     assert "4" in line and "8" in line and "Naimark" in line
@@ -464,6 +477,18 @@ def test_conj_rep_rejects_non_projective_assignment():
     broken = (pauli(0), pauli(1), pauli(2), pauli(0))
     with pytest.raises(NotProjectiveRep):
         conj_rep_character_from_matrices(k4, broken)
+
+
+def test_conj_rep_rejects_zero_matrices_and_zero_products():
+    k4, zero = builtin_group("K4"), ExactMatrix.zeros(2, 2)
+    with pytest.raises(NotProjectiveRep, match=r"U\[e\] is the zero matrix"):
+        conj_rep_character_from_matrices(k4, (zero,) * 4)
+    with pytest.raises(NotProjectiveRep, match=r"U\[b\] is the zero matrix"):
+        conj_rep_character_from_matrices(k4, (pauli(0), pauli(1), zero, pauli(3)))
+    # E11 E22 = 0 lies on no ray, so it is not proportional to U[t3] = E22
+    e11, e22 = ExactMatrix([[1, 0], [0, 0]]), ExactMatrix([[0, 0], [0, 1]])
+    with pytest.raises(NotProjectiveRep, match=r"U\[e\] U\[t3\] is not proportional"):
+        conj_rep_character_from_matrices(builtin_group("Z4"), (e11, e11, e11, e22))
 
 
 # ----------------------------------------------------------------------
