@@ -175,10 +175,12 @@ def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
     return pullback(pullback(target, iso), proj)
 
 
-# A warm entry cannot hide a corrupted D4 table: enumerate_witnesses() still
-# loads it through char_table on every call.
-@lru_cache(maxsize=1)
-def _d4_candidates() -> tuple[tuple[str, str, ClassFunction, ClassFunction], ...]:
+# Keyed on the verified D4 and D8 tables, which projective_irreps_d4 reads,
+# so a warm entry cannot hide a corrupted one, as in _families_from.
+@lru_cache(maxsize=4)
+def _d4_candidates(
+    t_d4: CharTable, t_d8: CharTable
+) -> tuple[tuple[str, str, ClassFunction, ClassFunction], ...]:
     """(label, class tag, chi_U, its conjugation character on D4)."""
     out = []
     for label, chi in projective_irreps_d4(ProjectiveClassTag.TRIVIAL):
@@ -198,15 +200,16 @@ def enumerate_witnesses(f: Family) -> list[Witness]:
     """
     t_d4 = char_table(builtin_group("D4"))
     if f.group.name in ("D4", "K4"):
+        candidates = _d4_candidates(t_d4, char_table(builtin_group("D8")))
         target_on_d4 = f.target if f.group.name == "D4" else k4_target_pulled_to_d4(f.target)
         found = []
-        for label, tag, chi, cchi in _d4_candidates():
+        for label, tag, chi, cchi in candidates:
             if cchi == target_on_d4:
                 also = ()
                 if f.group.name == "K4":
                     also = ("projective Pauli representation of K4 (P1 mod center)",)
                 elif tag == NONTRIVIAL:
-                    other = [l for l, t, _, _ in _d4_candidates() if t == NONTRIVIAL and l != label]
+                    other = [l for l, t, _, _ in candidates if t == NONTRIVIAL and l != label]
                     also = tuple(f"equivalently {l}" for l in other)
                 found.append(
                     Witness(

@@ -61,7 +61,7 @@ def _dump(payload: str, out_path: Optional[str]) -> None:
         except OSError as exc:
             raise BadInput(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
-        print(payload)
+        print(payload, flush=True)  # a closed stdout shows here, not at exit
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -179,19 +179,20 @@ def _cmd_simulate_swap(args: argparse.Namespace) -> int:
                     "outcome": rec.label,
                     "probability": _frac_json(rec.probability),
                     "correction_label": rec.correction_label,
-                    "chsh": _cyclo_json(chsh),
+                    "chsh": _cyclo_json(rec.chsh),
                 }
-                for i, (rec, chsh) in enumerate(detailed)
+                for i, rec in enumerate(detailed)
             ],
             "seed": args.seed,
         }
         payload = json.dumps(doc, indent=2, sort_keys=True)
     else:
         lines = []
-        for i, (rec, chsh) in enumerate(detailed):
+        for i, rec in enumerate(detailed):
             lines.append(
                 f"round {i + 1}  outcome {rec.label}  probability {rec.probability}  "
-                f"correction {rec.correction_label}  chsh {chsh} ({chsh.to_complex().real:.12f})"
+                f"correction {rec.correction_label}  chsh {rec.chsh} "
+                f"({rec.chsh.to_complex().real:.12f})"
             )
         payload = "\n".join(lines)
     _dump(payload, args.out)
@@ -284,6 +285,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again ("Note on SIGPIPE" in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

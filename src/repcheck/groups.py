@@ -223,21 +223,16 @@ def quotient(g: GroupTable, n: Iterable[int]) -> tuple[GroupTable, GroupHom]:
                     f"{g.name}: conjugate {g.word(h)}*{g.word(a)}*{g.word(h)}^-1 escapes the subgroup"
                 )
 
+    # a is the lowest member of its coset when first met, so the
+    # representatives come in ascending order, the identity's coset first
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for a in g.elements():
-        if a in coset_of:
-            continue
-        members = sorted(g.mul(a, s) for s in sub)
-        rep = members[0]
-        idx = len(reps)
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = idx
-    # reorder cosets by representative index (identity coset first)
-    order_map = {old: new for new, old in enumerate(sorted(range(len(reps)), key=lambda i: reps[i]))}
-    reps = sorted(reps)
-    image = tuple(order_map[coset_of[a]] for a in g.elements())
+        if a not in coset_of:
+            for s in sub:
+                coset_of[g.mul(a, s)] = len(reps)
+            reps.append(a)
+    image = tuple(coset_of[a] for a in g.elements())
 
     k = len(reps)
     mul = [[image[g.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]

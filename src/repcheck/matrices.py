@@ -4,11 +4,11 @@ Everything stays exact: unitarity, Hermiticity and operator identities are
 equality tests, never tolerance tests.  Sizes never exceed 16x16 here.  A
 matrix keeps its dense entries and, per row, the (column, value) pairs of its
 non-zero entries; products, applications and tensor products pay for those
-pairs only.  The protocol operators are mostly zeros (a 16x16 swap operator
-I x M x I has 16 non-zero entries), while a dense matrix costs the same as a
-plain triple loop.  <v|w> and tr(X^dag Y) go through the package's one
-Hermitian inner-product kernel, ``cyclo.inner``, which skips zero terms
-itself.
+pairs only.  The protocol operators are mostly zeros (a Pauli has 2 non-zero
+entries of 4, a Kraus operator of the swap 4 of 16), while a dense matrix
+costs the same as a plain triple loop.  <v|w> and tr(X^dag Y) go through the
+package's one Hermitian inner-product kernel, ``cyclo.inner``, which skips
+zero terms itself.
 
 The public constructor coerces every entry to CycloNum and refuses ragged
 rows.  Results built inside the class (products, sums, scalings, conjugates,

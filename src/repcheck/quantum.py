@@ -10,6 +10,11 @@ matrices instead of character tables.
 States are vectors over Q(zeta_8); probabilities are exact rationals.
 Qubit 0 is the leftmost tensor factor throughout.
 
+Both protocols make one pair measurement, ``_measure_pair``: a bra <w| on
+the qubit pair just before the last qubit, which is then corrected.  So the
+swap takes rank-one Kraus operators |u><w| only, factored once per
+instrument; any other rank raises IncompleteInstrument.
+
 The fixed operators (Paulis, phase gate, Bell basis, corrections) are built
 once at import.  The POVM and its instrument are built and checked once per
 distinct Bell basis and phase gate; ``povm_construction`` returns a new list
@@ -86,9 +91,6 @@ class PureState:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.vector)
-
-    def tensor(self, other: PureState) -> PureState:
-        return PureState(vec_tensor(self.vector, other.vector))
 
     def inner(self, other: PureState) -> CycloNum:
         return vec_inner(self.vector, other.vector)
@@ -196,12 +198,11 @@ class ProtocolTrace:
         raise KeyError(label)
 
 
-def _probability(branch: Vector, inv_total: CycloNum) -> Fraction:
-    """<branch|branch> / <full|full>, given 1/<full|full>.
-
-    Both squared norms may lie in Q(sqrt2); only their ratio is rational.
-    """
-    return (vec_inner(branch, branch) * inv_total).as_fraction()
+def _probability(pair: Vector, scale: CycloNum) -> Fraction:
+    """<pair|pair> * scale, where scale is 1/<full|full>, times <u|u> for a
+    swap outcome |u><w| (its branch is u x pair).  The squared norms may lie
+    in Q(sqrt2); only the probability is rational."""
+    return (vec_inner(pair, pair) * scale).as_fraction()
 
 
 def _normalized_if_possible(v: Vector) -> Vector:
@@ -217,6 +218,18 @@ def _normalized_if_possible(v: Vector) -> Vector:
     return tuple(inv * a for a in v)
 
 
+def _measure_pair(full: Vector, w: Vector) -> Vector:
+    """<w| applied to the qubit pair just before the last qubit.
+
+    full[8x + 2j + t] pairs with w[j]; the result is indexed 2x + t.  On
+    three qubits that pair is qubits 0-1 (x is 0), on four it is qubits 1-2.
+    """
+    return tuple(
+        vec_inner(w, full[8 * x + t:8 * x + 8:2])
+        for x in range(len(full) // 8) for t in range(2)
+    )
+
+
 def teleport(state: PureState) -> ProtocolTrace:
     """Bell-measure (input x Phi) on the first two qubits, then correct.
 
@@ -227,12 +240,11 @@ def teleport(state: PureState) -> ProtocolTrace:
         raise ValueError("teleportation input must be a single qubit")
     if state.is_zero():
         raise ZeroState("cannot teleport the zero vector")
-    full = state.tensor(bell_state())
+    full = vec_tensor(state.vector, _PHI.vector)
     inv_total = vec_inner(state.vector, state.vector).inverse()
     records = []
     for k, bk in enumerate(bell_basis()):
-        # <Phi_k| on the first two qubits: full[4x + 2y + w] pairs with bk[2x + y]
-        cond = tuple(vec_inner(bk.vector, full.vector[w::2]) for w in range(2))
+        cond = _measure_pair(full, bk.vector)
         prob = _probability(cond, inv_total)
         post = PureState(pauli(k).apply(cond))
         records.append(
@@ -274,15 +286,12 @@ class Instrument:
     labels: tuple[str, ...]
     kraus: tuple[ExactMatrix, ...]
 
-    def completeness(self) -> ExactMatrix:
+    def is_complete(self) -> bool:
         dim = self.kraus[0].rows
         total = ExactMatrix.zeros(dim, dim)
         for m in self.kraus:
             total = total + (m.dagger() @ m)
-        return total
-
-    def is_complete(self) -> bool:
-        return self.completeness().is_identity()
+        return total.is_identity()
 
 
 def povm_construction() -> tuple[list[Effect], Instrument]:
@@ -339,49 +348,26 @@ def standard_corrections() -> dict[str, tuple[str, ExactMatrix]]:
     return dict(_STANDARD_CORRECTIONS)
 
 
-def _split_middle(v: Vector) -> tuple[Vector, Vector]:
-    """Factor a 16-dim vector on (A,B1,B2,C) as outer(y,z)-pure in the middle.
-
-    Returns (outer pair vector on (A,C), middle vector on (B1,B2)); raises
-    if the middle two qubits are still entangled with the rest.
-    """
-    def at(x: int, y: int, z: int, w: int) -> CycloNum:
-        return v[8 * x + 4 * y + 2 * z + w]
-
-    pivot = next(
-        ((x, y, z, w) for x in range(2) for y in range(2)
-         for z in range(2) for w in range(2) if not at(x, y, z, w).is_zero()),
-        None,
-    )
-    if pivot is None:
-        raise ZeroState("zero branch has no conditional state")
-    x0, y0, z0, w0 = pivot
-    mid = tuple(at(x0, y, z, w0) for y in range(2) for z in range(2))
-    inv_scale = at(x0, y0, z0, w0).inverse()
-    out_pair = tuple(at(x, y0, z0, w) * inv_scale for x in range(2) for w in range(2))
-    product = vec_tensor(out_pair, mid)  # index 4 * (2x + w) + 2y + z
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                for w in range(2):
-                    if at(x, y, z, w) != product[4 * (2 * x + w) + 2 * y + z]:
-                        raise IncompleteInstrument(
-                            "middle qubits stay entangled; instrument is not rank-one"
-                        )
-    return out_pair, mid
-
-
 @lru_cache(maxsize=8)
-def _swap_operators(inst: Instrument) -> tuple[ExactMatrix, ...]:
+def _rank_one_factors(inst: Instrument) -> tuple[tuple[Vector, Vector], ...]:
+    """(u, w) with M = |u><w| for each Kraus operator M of a complete inst:
+    u is the column of M's first non-zero entry (row-major) divided by that
+    entry, w the conjugate of its row.  A zero M gives zero u and w."""
     if not inst.is_complete():
         raise IncompleteInstrument("sum of M^dag M is not the identity")
-    return tuple(_EYE2.tensor(m).tensor(_EYE2) for m in inst.kraus)
-
-
-@lru_cache(maxsize=32)
-def _lift_to_second_qubit(u: ExactMatrix) -> ExactMatrix:
-    """I x U: a correction acting on C of an (A, C) pair."""
-    return _EYE2.tensor(u)
+    factors = []
+    for label, m in zip(inst.labels, inst.kraus):
+        if (m.rows, m.cols) != (4, 4):
+            raise ValueError(f"Kraus operator {label} is {m.rows}x{m.cols}, not 4x4")
+        cells = [(r, c) for r in range(4) for c in range(4) if not m[r, c].is_zero()]
+        r, c = cells[0] if cells else (0, 0)
+        inv = m[r, c].inverse() if cells else ZERO
+        u = tuple(m[i, c] * inv for i in range(4))
+        w = tuple(x.conjugate() for x in m.entries[r])
+        if outer(u, w) != m:
+            raise IncompleteInstrument(f"Kraus operator {label} is not rank one")
+        factors.append((u, w))
+    return tuple(factors)
 
 
 def entanglement_swap(
@@ -389,7 +375,8 @@ def entanglement_swap(
     corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]] = None,
     left: Optional[PureState] = None,
 ) -> ProtocolTrace:
-    """Measure the middle pair of left_(A,B1) x Phi_(B2,C) with inst.
+    """Measure the middle pair of left_(A,B1) x Phi_(B2,C) with inst, whose
+    Kraus operators must be rank one: |u><w| applies <w| to (B1,B2).
 
     For each outcome: exact probability, conditional (A,C) state, the
     correction applied on C, and the post-correction CHSH value.
@@ -409,25 +396,25 @@ def entanglement_swap(
 
 @lru_cache(maxsize=4096)
 def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> ProtocolTrace:
-    operators = _swap_operators(inst)
+    factors = _rank_one_factors(inst)
     corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}
-    left = PureState(left_vector)
-    full = left.tensor(bell_state())
-    inv_total = vec_inner(full.vector, full.vector).inverse()
+    full = vec_tensor(left_vector, _PHI.vector)
+    inv_total = vec_inner(full, full).inverse()
     settings = tsirelson_settings()
 
     records = []
-    for label, op in zip(inst.labels, operators):
-        v = op.apply(full.vector)
-        prob = _probability(v, inv_total)
+    for label, (u, w) in zip(inst.labels, factors):
+        pair = _measure_pair(full, w)
+        prob = _probability(pair, vec_inner(u, u) * inv_total)
         if prob == 0:
             records.append(OutcomeRecord(label, prob, PureState((ZERO,) * 4),
                                          corrections[label][0], PureState((ZERO,) * 4), None))
             continue
-        out_pair, _mid = _split_middle(v)
-        cond = _normalized_if_possible(out_pair)
+        # first non-zero entry 1, so chained rounds reuse a few cache keys
+        inv_pivot = next(a for a in pair if not a.is_zero()).inverse()
+        cond = _normalized_if_possible(tuple(a * inv_pivot for a in pair))
         corr_label, corr = corrections[label]
-        post = PureState(_lift_to_second_qubit(corr).apply(cond))
+        post = PureState(corr.apply(cond[:2]) + corr.apply(cond[2:]))
         records.append(
             OutcomeRecord(
                 label=label,
@@ -441,31 +428,20 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
     return ProtocolTrace(tuple(records))
 
 
-def iterate_swap(
-    rounds: int,
-    outcome_path: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    inst: Optional[Instrument] = None,
-    corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]] = None,
-) -> list[CycloNum]:
-    """Chain the swap: each round's corrected (A,C) pair feeds the next round.
-
-    Outcomes follow outcome_path if given, else a seeded uniform choice,
-    else a deterministic round-robin over the eight labels.  Returns the
-    post-correction CHSH value after each round.
-    """
-    return [chsh for _, chsh in
-            iterate_swap_detailed(rounds, outcome_path, seed, inst, corrections)]
-
-
 def iterate_swap_detailed(
     rounds: int,
     outcome_path: Optional[Sequence[str]] = None,
     seed: Optional[int] = None,
     inst: Optional[Instrument] = None,
     corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]] = None,
-) -> list[tuple[OutcomeRecord, CycloNum]]:
-    """Like iterate_swap but keeps the selected outcome record per round."""
+) -> list[OutcomeRecord]:
+    """Chain the swap: each round's corrected (A,C) pair feeds the next round.
+
+    Outcomes follow outcome_path if given, else a seeded uniform choice,
+    else a deterministic round-robin over the eight labels.  Returns the
+    selected outcome record of each round; its chsh is the post-correction
+    CHSH value.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if outcome_path is not None and len(outcome_path) < rounds:
@@ -486,7 +462,7 @@ def iterate_swap_detailed(
         rec = trace.by_label(label)
         if rec.chsh is None:
             raise ZeroState(f"selected outcome {label} has zero probability")
-        out.append((rec, rec.chsh))
+        out.append(rec)
         state = rec.post
     return out
 

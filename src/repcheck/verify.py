@@ -52,7 +52,7 @@ from .quantum import (
     conj_rep_character_from_matrices,
     correction_group_check,
     entanglement_swap,
-    iterate_swap,
+    iterate_swap_detailed,
     lifted_correction_rep_on_d8,
     pauli,
     pauli_rep_on_k4,
@@ -293,11 +293,11 @@ def _check_iterate_swap() -> str:
     _, inst = povm_construction()
     labels = inst.labels
     for path in itertools.product(labels, repeat=2):
-        values = iterate_swap(2, outcome_path=path, inst=inst)
-        _require(all(v == TSIRELSON for v in values), path)
+        records = iterate_swap_detailed(2, outcome_path=path, inst=inst)
+        _require(all(r.chsh == TSIRELSON for r in records), path)
     for seed in range(20):
-        values = iterate_swap(5, seed=seed, inst=inst)
-        _require(all(v == TSIRELSON for v in values), seed)
+        records = iterate_swap_detailed(5, seed=seed, inst=inst)
+        _require(all(r.chsh == TSIRELSON for r in records), seed)
     return "all 64 depth-2 outcome paths and 20 seeded depth-5 paths hold 2*sqrt2 every round"
 
 

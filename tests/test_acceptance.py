@@ -30,7 +30,7 @@ from repcheck.quantum import (
     conj_rep_character_from_matrices,
     correction_group_check,
     entanglement_swap,
-    iterate_swap,
+    iterate_swap_detailed,
     lifted_correction_rep_on_d8,
     pauli,
     pauli_rep_on_k4,
@@ -173,9 +173,10 @@ def test_criterion_7_povm_swap_protocol():
         assert rec.chsh == TSIRELSON
 
     for path in itertools.product(inst.labels, repeat=2):
-        assert iterate_swap(2, outcome_path=path, inst=inst) == [TSIRELSON] * 2
+        records = iterate_swap_detailed(2, outcome_path=path, inst=inst)
+        assert [r.chsh for r in records] == [TSIRELSON] * 2
     for seed in range(20):
-        assert iterate_swap(5, seed=seed, inst=inst) == [TSIRELSON] * 5
+        assert [r.chsh for r in iterate_swap_detailed(5, seed=seed, inst=inst)] == [TSIRELSON] * 5
     _passed(7, "POVM complete; 8 outcomes at 1/8; CHSH 2*sqrt2 through depth-5 chains")
 
 

@@ -27,7 +27,7 @@ from repcheck.characters import (
     tensor,
     trivial_character,
 )
-from repcheck.classify import classify_all
+from repcheck.classify import classify_all, enumerate_witnesses, family_by_name
 from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO
 from repcheck.groups import BUILTIN_NAMES, builtin_group, center, find_isomorphism, quotient
 
@@ -365,6 +365,21 @@ def test_warm_caches_cannot_hide_a_corrupted_k4_table(monkeypatch):
     with pytest.raises(TableVerificationFailed) as excinfo:
         classify_all()
     assert any(entry.name == "seven_families" for entry in excinfo.traceback)
+
+
+def test_warm_caches_cannot_hide_a_corrupted_d8_table(monkeypatch):
+    # D8's table is read by the cached witness candidates of the D4 families
+    classify_all()
+    labels, rows = _RAW_TABLES["D8"]
+    bad_rows = tuple(
+        row if label != "chiE1" else (2, 0, 0, 0, -2, 0, 0)
+        for label, row in zip(labels, rows)
+    )
+    monkeypatch.setitem(_RAW_TABLES, "D8", (labels, bad_rows))
+    with pytest.raises(TableVerificationFailed):
+        char_table(builtin_group("D8"))
+    with pytest.raises(TableVerificationFailed):
+        enumerate_witnesses(family_by_name("D4_125"))
 
 
 def test_table_is_verified_once_per_distinct_content(monkeypatch):

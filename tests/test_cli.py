@@ -190,6 +190,10 @@ def test_out_flag_writes_file(capsys, tmp_path):
 CLASSIFY_JSON_SHA256 = "cc1976bfa2019cdd270592b131f54349fa6fe2f1cf7ad62f974c5e777ee8362f"
 CLASSIFY_TEXT_SHA256 = "5c2f2966a6a557c1c91fc7c2b3c48a9460d8edea4dc45cd474528f1118cdce9e"
 VERIFY_ALL_SHA256 = "b57a65e5c91e3ed59944fb88280e9bb595c4c134053c2444dab7f2d0d61b2798"
+# simulate-swap --rounds 1000 --seed 7 --json
+SIMULATE_SWAP_JSON_SHA256 = "0e85b024a5e2714a0bc1c30621d5d61410dc0331426b7c8adcc2c98adcb59778"
+# simulate-teleport --state 1,2,-3,1/2 --json
+SIMULATE_TELEPORT_JSON_SHA256 = "4bebad6a6cabf1185d03d21488fcb00e64e4abeb144d7eb828ca6120aa75a962"
 
 
 def _sha256(text):
@@ -204,6 +208,10 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert code == 0 and _sha256(out) == CLASSIFY_TEXT_SHA256
     code, out = run_cli(capsys, "verify-all")
     assert code == 0 and _sha256(out) == VERIFY_ALL_SHA256, out
+    code, out = run_cli(capsys, "simulate-swap", "--rounds", "1000", "--seed", "7", "--json")
+    assert code == 0 and _sha256(out) == SIMULATE_SWAP_JSON_SHA256
+    code, out = run_cli(capsys, "simulate-teleport", "--state", "1,2,-3,1/2", "--json")
+    assert code == 0 and _sha256(out) == SIMULATE_TELEPORT_JSON_SHA256
 
 
 def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
@@ -287,6 +295,19 @@ def _assert_refused(capsys, code):
 def test_out_to_missing_directory_is_refused(capsys, tmp_path, command):
     code = cli.main([*command, "--out", str(tmp_path / "missing" / "x")])
     _assert_refused(capsys, code)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # 3000 rounds print about 250 kB, far beyond a 64 KiB pipe buffer, so
+    # a write meets the closed read end
+    with open(tmp_path / "err", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repcheck.cli", "simulate-swap", "--rounds", "3000"],
+            stdout=subprocess.PIPE, stderr=err, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in (tmp_path / "err").read_text()
 
 
 def test_huge_state_exponent_is_refused_without_hanging():

@@ -1,5 +1,7 @@
 """Teleportation, the POVM swap protocol, and the structure checks."""
 
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from repcheck.quantum import (
     conj_rep_character_from_matrices,
     correction_group_check,
     entanglement_swap,
-    iterate_swap,
+    iterate_swap_detailed,
     lifted_correction_rep_on_d8,
     matrix_group_mod_phases,
     pauli,
@@ -363,16 +365,65 @@ def test_swap_rejects_incomplete_instrument():
         entanglement_swap(broken)
 
 
+def test_zero_kraus_operator_gives_a_zero_probability_record():
+    _, inst = povm_construction()
+    padded = Instrument(labels=inst.labels + ("z",),
+                        kraus=inst.kraus + (ExactMatrix.zeros(4, 4),))
+    corrections = dict(standard_corrections(), z=("I", pauli(0)))
+    trace = entanglement_swap(padded, corrections=corrections)
+    zero = trace.by_label("z")
+    assert zero.probability == 0 and zero.chsh is None
+    assert trace.outcomes[:8] == entanglement_swap(inst).outcomes
+
+
+def test_swap_rejects_a_kraus_operator_that_is_not_4x4():
+    inst = Instrument(labels=("id",), kraus=(ExactMatrix.identity(2),))
+    with pytest.raises(ValueError, match="not 4x4"):
+        entanglement_swap(inst, corrections={"id": ("I", pauli(0))})
+
+
+# sha256 over the repr of every OutcomeRecord field that
+# test_protocol_records_are_pinned produces
+PROTOCOL_RECORDS_SHA256 = "7ff1fc4ff2ca5bf634389cab3b11ec358db28fad730b1084bf935c854f4d7929"
+
+
+def test_protocol_records_are_pinned():
+    """A change of scale or phase in a conditional or corrected state moves
+    this digest even where the CLI output, which prints only probabilities,
+    labels and CHSH values, stays the same."""
+    rng = random.Random(2026)
+
+    def amp(general):
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
+        return CycloNum(*c) if general else CycloNum(c[0], 0, c[2], 0)
+
+    _, inst = povm_construction()
+    traces = [entanglement_swap(inst)]
+    for general in (False, False, False, True, True, True):
+        left = PureState(tuple(amp(general) for _ in range(4)))
+        traces.append(entanglement_swap(inst, left=left))
+    for general in (False, False, True, True):
+        traces.append(teleport(PureState((amp(general), amp(general)))))
+    records = [rec for trace in traces for rec in trace.outcomes]
+    records += iterate_swap_detailed(50, seed=11)
+    digest = hashlib.sha256()
+    for rec in records:
+        for field in dataclasses.fields(rec):
+            digest.update(repr(getattr(rec, field.name)).encode() + b"\n")
+    assert digest.hexdigest() == PROTOCOL_RECORDS_SHA256
+
+
 def test_iterate_swap_single_and_deep():
-    assert iterate_swap(1, outcome_path=["b0"]) == [TSIRELSON]
-    values = iterate_swap(5, seed=123)
+    assert [r.chsh for r in iterate_swap_detailed(1, outcome_path=["b0"])] == [TSIRELSON]
+    values = [r.chsh for r in iterate_swap_detailed(5, seed=123)]
     assert values == [TSIRELSON] * 5
 
 
 def test_iterate_swap_all_depth2_paths():
     _, inst = povm_construction()
     for path in itertools.product(inst.labels, repeat=2):
-        assert iterate_swap(2, outcome_path=path, inst=inst) == [TSIRELSON] * 2
+        records = iterate_swap_detailed(2, outcome_path=path, inst=inst)
+        assert [r.chsh for r in records] == [TSIRELSON] * 2
 
 
 def test_wrong_correction_table_breaks_the_protocol():
@@ -383,7 +434,7 @@ def test_wrong_correction_table_breaks_the_protocol():
     for k in range(4):
         shifted[f"b{k}"] = good[f"b{(k + 1) % 4}"]
         shifted[f"a{k}"] = good[f"a{(k + 1) % 4}"]
-    values = iterate_swap(1, outcome_path=["b1"], corrections=shifted)
+    values = [r.chsh for r in iterate_swap_detailed(1, outcome_path=["b1"], corrections=shifted)]
     assert values[0] != TSIRELSON
     trace = entanglement_swap(inst, corrections=shifted)
     phi = bell_state()
@@ -420,6 +471,12 @@ def test_swap_rejects_entangling_instrument():
     # entangled with the outer one; only rank-one instruments are supported
     inst = Instrument(labels=("id",), kraus=(ExactMatrix.identity(4),))
     corrections = {"id": ("I", pauli(0))}
+    with pytest.raises(IncompleteInstrument):
+        entanglement_swap(inst, corrections=corrections)
+    # complete, but each projector has rank two: P = |00><00| + |01><01|
+    p = ExactMatrix.diag([1, 1, 0, 0])
+    inst = Instrument(labels=("P", "Q"), kraus=(p, ExactMatrix.identity(4) - p))
+    corrections = {"P": ("I", pauli(0)), "Q": ("I", pauli(0))}
     with pytest.raises(IncompleteInstrument):
         entanglement_swap(inst, corrections=corrections)
 
