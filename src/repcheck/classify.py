@@ -11,6 +11,10 @@ projective classes it rules out.  A family is obstructed exactly when the
 fired scopes cover all its candidate classes; the witness enumeration and
 the obstruction battery are cross-validated against each other on every
 call, and a witness-less class that no check covers raises.
+
+What the checks read off the K4, Z4, D4 and D8 character tables (targets,
+witness candidates, table-level sweeps) is built and verified in one memo
+per table content, which every public function reads.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .characters import (
     CharTable,
@@ -72,6 +76,9 @@ FAMILY_NAMES = (
 
 _EXPECTED_DIMENSIONS = dict(zip(FAMILY_NAMES, (4, 4, 4, 4, 4, 6, 8)))
 
+# the reflection classes of D4, at representatives (e, r, r2, s, rs)
+_S_CLASS, _RS_CLASS = 3, 4
+
 
 @dataclass(frozen=True)
 class ObstructionRecord:
@@ -113,15 +120,38 @@ class Verdict:
 
 def seven_families() -> tuple[Family, ...]:
     """The seven target conjugation characters, invariants verified."""
-    k4, z4, d4 = builtin_group("K4"), builtin_group("Z4"), builtin_group("D4")
-    return _families_from(char_table(k4), char_table(z4), char_table(d4))
+    return _facts().families
 
 
-# Keyed on the verified tables, so a warm entry cannot hide a corrupted K4,
-# Z4 or D4 table: char_table verifies changed content again before the key
-# is built.
+def family_by_name(name: str) -> Family:
+    for f in seven_families():
+        if f.name == name:
+            return f
+    raise KeyError(name)
+
+
+class _Facts(NamedTuple):
+    families: tuple[Family, ...]
+    t_d4: CharTable
+    # group name -> (label, class tag, chi_U, its conjugation character on
+    # D4 or Z4); K4 is matched on D4 through the quotient, so shares D4's
+    candidates: dict[str, tuple[tuple[str, str, ClassFunction, ClassFunction], ...]]
+    # conjugation character -> the first Z4 multiplicities that give it,
+    # over every multiset of the linear characters with d <= 4
+    z4_sweep: dict[ClassFunction, tuple[int, ...]]
+
+
+def _facts() -> _Facts:
+    """The facts of the K4, Z4, D4 and D8 tables as they are now."""
+    return _facts_of(*(char_table(builtin_group(n)) for n in ("K4", "Z4", "D4", "D8")))
+
+
+# Keyed on the verified tables, so a warm entry cannot hide a corrupted one:
+# char_table verifies changed content again before the key is built.
 @lru_cache(maxsize=4)
-def _families_from(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable) -> tuple[Family, ...]:
+def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable) -> _Facts:
+    """Build the seven families and the witness candidates, and run every
+    table-level check the obstructions rest on, once per table content."""
     k4, z4, d4 = t_k4.group, t_z4.group, t_d4.group
     reg_k4 = regular_character(k4)
     if reg_k4 != combination(t_k4.irreducibles, (1, 1, 1, 1)):
@@ -147,14 +177,38 @@ def _families_from(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable) -> tuple[F
         if inner_product(trivial_character(g), target) != ONE:
             raise ClassifierInconsistency(f"{name}: trivial character multiplicity != 1")
         families.append(Family(name=name, group=g, target=target, dimension=dim))
-    return tuple(families)
 
+    # projective_irreps_d4 reads the D4 and D8 tables this entry is keyed on
+    d4_side = [(label, TRIVIAL, chi, conj_character(chi))
+               for label, chi in projective_irreps_d4(ProjectiveClassTag.TRIVIAL)]
+    for label, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL):
+        pushed = push_to_quotient(conj_character(chi))
+        if pushed.values[_S_CLASS] != ZERO or pushed.values[_RS_CLASS] != ZERO:
+            raise ClassifierInconsistency(f"|{label}|^2 fails to vanish on a reflection class")
+        d4_side.append((label, NONTRIVIAL, chi, pushed))
+    z4_side = tuple((label, TRIVIAL, chi, conj_character(chi))
+                    for label, chi in zip(t_z4.labels, t_z4.irreducibles))
 
-def family_by_name(name: str) -> Family:
-    for f in seven_families():
-        if f.name == name:
-            return f
-    raise KeyError(name)
+    # m5 = 2e(a+b+c+d), so even, for every chi_U of degree <= 4
+    for ns in multiplicity_vectors(t_d4.degrees(), 4):
+        *abcd, e = ns
+        m5 = decompose(conj_character(combination(t_d4.irreducibles, ns)), t_d4)[4]
+        if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
+            raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
+
+    z4_sweep: dict[ClassFunction, tuple[int, ...]] = {}
+    triv = trivial_character(z4)
+    for ns in multiplicity_vectors(t_z4.degrees(), 4):
+        cchi = conj_character(combination(t_z4.irreducibles, ns))
+        m1 = inner_product(triv, cchi).as_int()
+        if m1 != sum(n * n for n in ns):
+            raise ClassifierInconsistency(f"m1 formula fails at multiplicities {ns}")
+        if sum(ns) >= 2 and m1 < sum(ns):
+            raise ClassifierInconsistency(f"fixed-projector bound m1 >= d fails at {ns}")
+        z4_sweep.setdefault(cchi, ns)
+
+    d4_side = tuple(d4_side)
+    return _Facts(tuple(families), t_d4, {"K4": d4_side, "Z4": z4_side, "D4": d4_side}, z4_sweep)
 
 
 # ----------------------------------------------------------------------
@@ -175,21 +229,6 @@ def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
     return pullback(pullback(target, iso), proj)
 
 
-# Keyed on the verified D4 and D8 tables, which projective_irreps_d4 reads,
-# so a warm entry cannot hide a corrupted one, as in _families_from.
-@lru_cache(maxsize=4)
-def _d4_candidates(
-    t_d4: CharTable, t_d8: CharTable
-) -> tuple[tuple[str, str, ClassFunction, ClassFunction], ...]:
-    """(label, class tag, chi_U, its conjugation character on D4)."""
-    out = []
-    for label, chi in projective_irreps_d4(ProjectiveClassTag.TRIVIAL):
-        out.append((label, TRIVIAL, chi, conj_character(chi)))
-    for label, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL):
-        out.append((label, NONTRIVIAL, chi, push_to_quotient(conj_character(chi))))
-    return tuple(out)
-
-
 def enumerate_witnesses(f: Family) -> list[Witness]:
     """All irreducible candidates whose conjugation character hits the target.
 
@@ -198,44 +237,25 @@ def enumerate_witnesses(f: Family) -> list[Witness]:
     quantum module's independent route); Z4 candidates are its linear
     irreducibles, its multiplier being trivial.
     """
-    t_d4 = char_table(builtin_group("D4"))
-    if f.group.name in ("D4", "K4"):
-        candidates = _d4_candidates(t_d4, char_table(builtin_group("D8")))
-        target_on_d4 = f.target if f.group.name == "D4" else k4_target_pulled_to_d4(f.target)
-        found = []
-        for label, tag, chi, cchi in candidates:
-            if cchi == target_on_d4:
-                also = ()
-                if f.group.name == "K4":
-                    also = ("projective Pauli representation of K4 (P1 mod center)",)
-                elif tag == NONTRIVIAL:
-                    other = [l for l, t, _, _ in candidates if t == NONTRIVIAL and l != label]
-                    also = tuple(f"equivalently {l}" for l in other)
-                found.append(
-                    Witness(
-                        character_label=label,
-                        projective_class=tag,
-                        character=chi,
-                        conj_decomposition=decompose(cchi, t_d4),
-                        also=also,
-                    )
-                )
-        return found
-    if f.group.name == "Z4":
-        t_z4 = char_table(f.group)
-        found = []
-        for label, chi in zip(t_z4.labels, t_z4.irreducibles):
-            if conj_character(chi) == f.target:
-                found.append(
-                    Witness(
-                        character_label=label,
-                        projective_class=TRIVIAL,
-                        character=chi,
-                        conj_decomposition=(),
-                    )
-                )
-        return found
-    raise WrongGroup(f"no witness enumeration for group {f.group.name}")
+    facts = _facts()
+    group = f.group.name
+    if group not in facts.candidates:
+        raise WrongGroup(f"no witness enumeration for group {group}")
+    candidates = facts.candidates[group]
+    target = k4_target_pulled_to_d4(f.target) if group == "K4" else f.target
+    found = []
+    for label, tag, chi, cchi in candidates:
+        if cchi != target:
+            continue
+        also = ()
+        if group == "K4":
+            also = ("projective Pauli representation of K4 (P1 mod center)",)
+        elif tag == NONTRIVIAL:
+            other = [l for l, t, _, _ in candidates if t == NONTRIVIAL and l != label]
+            also = tuple(f"equivalently {l}" for l in other)
+        decomposition = () if group == "Z4" else decompose(cchi, facts.t_d4)
+        found.append(Witness(label, tag, chi, decomposition, also))
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +264,10 @@ def enumerate_witnesses(f: Family) -> list[Witness]:
 def check_dimension_bound(f: Family) -> Optional[ObstructionRecord]:
     """Target dimension must fit in dim L(H) <= (max irreducible degree)^2.
 
-    The max degree is computed from the D4 and cover tables, not hard-coded.
+    The max degree is computed over the D4 irreducibles and the D8 ones of
+    the non-trivial class, not hard-coded.
     """
-    max_deg = max(
-        char_table(builtin_group("D4")).degrees()
-        + char_table(builtin_group("D8")).degrees()
-    )
+    max_deg = max(chi.dimension() for _, _, chi, _ in _facts().candidates["D4"])
     bound = max_deg * max_deg
     if f.dimension <= bound:
         return None
@@ -263,33 +281,17 @@ def check_dimension_bound(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
-@lru_cache(maxsize=8)
-def _z4_abelian_sweep(t: CharTable, target: ClassFunction) -> None:
-    """Enumerate all multisets of the four linear Z4 characters with d <= 4.
-    Cached on the verified Z4 table and the target it is swept against."""
-    triv = trivial_character(t.group)
-    for ns in multiplicity_vectors(t.degrees(), 4):
-        d = sum(ns)
-        cchi = conj_character(combination(t.irreducibles, ns))
-        m1 = inner_product(triv, cchi)
-        if m1.as_int() != sum(n * n for n in ns):
-            raise ClassifierInconsistency(f"m1 formula fails at multiplicities {ns}")
-        if cchi == target:
-            raise ClassifierInconsistency(
-                f"an abelian candidate {ns} matched the target; the obstruction is wrong"
-            )
-        if d >= 2 and m1.as_int() < d:
-            raise ClassifierInconsistency(f"fixed-projector bound m1 >= d fails at {ns}")
-
-
 def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
     """Every d-dim rep of the cyclic group fixes d orthogonal projectors, so
     the trivial character appears at least d times; verified by enumerating
     all multisets of the four linear characters with d <= 4."""
-    z4 = builtin_group("Z4")
-    if f.group != z4:
+    if f.group != builtin_group("Z4"):
         raise WrongGroup(f"abelian fixed-projector check needs Z4, got {f.group.name}")
-    _z4_abelian_sweep(char_table(z4), f.target)
+    ns = _facts().z4_sweep.get(f.target)
+    if ns is not None:
+        raise ClassifierInconsistency(
+            f"an abelian candidate {ns} matched the target; the obstruction is wrong"
+        )
     return ObstructionRecord(
         kind=ObstructionKind.ABELIAN_FIXED_PROJECTORS,
         detail=(
@@ -301,17 +303,6 @@ def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
-@lru_cache(maxsize=8)
-def _chi5_parity_sweep(t: CharTable) -> None:
-    """Verify m5 = 2e(a+b+c+d) (even) for every chi_U of degree <= 4.
-    Cached on the verified D4 table."""
-    for ns in multiplicity_vectors(t.degrees(), 4):
-        *abcd, e = ns
-        m5 = decompose(conj_character(combination(t.irreducibles, ns)), t)[4]
-        if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
-            raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
-
-
 def check_parity(f: Family) -> Optional[ObstructionRecord]:
     """In the trivial class the chi5 multiplicity of any conjugation
     character is even (it is 2e(a+b+c+d)); odd targets are unreachable.
@@ -319,12 +310,9 @@ def check_parity(f: Family) -> Optional[ObstructionRecord]:
     The formula is verified against exhaustive enumeration up to the
     realizable degree bound.
     """
-    d4 = builtin_group("D4")
-    if f.group != d4:
+    if f.group != builtin_group("D4"):
         raise WrongGroup(f"chi5 parity check needs D4, got {f.group.name}")
-    t = char_table(d4)
-    _chi5_parity_sweep(t)
-    m5_target = decompose(f.target, t)[4]
+    m5_target = decompose(f.target, _facts().t_d4)[4]
     if m5_target % 2 == 0:
         return None
     return ObstructionRecord(
@@ -341,17 +329,10 @@ def check_reflection_vanishing(f: Family) -> Optional[ObstructionRecord]:
     """Non-trivial-class conjugation characters vanish on both reflection
     classes (computed from |chiE1|^2, |chiE3|^2, not assumed); a target that
     is non-zero at s or rs cannot arise there."""
-    d4 = builtin_group("D4")
-    if f.group != d4:
+    if f.group != builtin_group("D4"):
         raise WrongGroup(f"reflection vanishing check needs D4, got {f.group.name}")
-    s_class, rs_class = 3, 4
-    for label, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL):
-        pushed = push_to_quotient(conj_character(chi))
-        if pushed.values[s_class] != ZERO or pushed.values[rs_class] != ZERO:
-            raise ClassifierInconsistency(
-                f"|{label}|^2 fails to vanish on a reflection class"
-            )
-    vs, vrs = f.target.values[s_class], f.target.values[rs_class]
+    _facts()  # the vanishing itself is checked there, once per table content
+    vs, vrs = f.target.values[_S_CLASS], f.target.values[_RS_CLASS]
     if vs == ZERO and vrs == ZERO:
         return None
     where = []
@@ -369,24 +350,20 @@ def check_reflection_vanishing(f: Family) -> Optional[ObstructionRecord]:
     )
 
 
+# the obstruction checks each group's families run, in report order
+_CHECKS = {
+    "K4": (check_dimension_bound,),
+    "Z4": (check_dimension_bound, check_z4_abelian),
+    "D4": (check_dimension_bound, check_parity, check_reflection_vanishing),
+}
+
+
 def classify(f: Family) -> Verdict:
     """Run the obstruction battery and the witness enumeration, cross-checked."""
     witnesses = tuple(enumerate_witnesses(f))
     witness_classes = {w.projective_class for w in witnesses}
 
-    fired: list[ObstructionRecord] = []
-    rec = check_dimension_bound(f)
-    if rec:
-        fired.append(rec)
-    if f.group.name == "Z4":
-        rec = check_z4_abelian(f)
-        if rec:
-            fired.append(rec)
-    if f.group.name == "D4":
-        for check in (check_parity, check_reflection_vanishing):
-            rec = check(f)
-            if rec:
-                fired.append(rec)
+    fired = [rec for rec in (check(f) for check in _CHECKS[f.group.name]) if rec]
 
     covered = {tag for rec in fired for tag in rec.scope}
     conflict = covered & witness_classes

@@ -117,7 +117,12 @@ def _parse_rational(text: str) -> Fraction:
         too_big = False  # not a decimal exponent; Fraction rejects it below
     if too_big:
         raise ValueError(f"exponent of {text!r} is beyond +-{_MAX_EXPONENT}")
-    return Fraction(text)
+    q = Fraction(text)
+    # a longer integer cannot be printed: str() refuses it (0 means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
+        raise ValueError(f"a numerator or denominator has more than {limit} digits")
+    return q
 
 
 def _parse_state(text: str) -> PureState:

@@ -272,7 +272,12 @@ class CycloNum:
         return self._n == p[0] and self._d == p[1]
 
     def __hash__(self) -> int:
-        return hash((self._n, self._d))
+        # a rational value equals the int or Fraction it stands for, so it
+        # must hash like it
+        n0, n1, n2, n3 = self._n
+        if n1 or n2 or n3:
+            return hash((self._n, self._d))
+        return hash(n0) if self._d == 1 else hash(Fraction(n0, self._d))
 
     def __repr__(self) -> str:
         c0, c1, c2, c3 = self.coeffs

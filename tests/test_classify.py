@@ -2,11 +2,15 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
+from repcheck import characters
 from repcheck.characters import (
+    _RAW_TABLES,
     ProjectiveClassTag,
+    TableVerificationFailed,
     char_table,
     conj_character,
     inner_product,
@@ -228,6 +232,37 @@ def test_uncovered_class_raises_instead_of_a_canned_record():
     assert enumerate_witnesses(toy) == []
     with pytest.raises(ClassifierInconsistency, match="fail to cover"):
         classify(toy)
+
+
+def test_a_warm_classify_all_computes_no_conjugation_character(monkeypatch):
+    """Conjugation characters are read off the tables once per table
+    content, not once per call."""
+    classify_all()
+    calls = []
+    # the package rebinds the name `classify` to the function, so reach the
+    # module through a function it defines
+    for module in (sys.modules[classify.__module__], characters):
+        for name in ("conj_character", "push_to_quotient"):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+    assert [v.realizable for v in classify_all()] == [True, False, True] + [False] * 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("check", [
+    enumerate_witnesses, check_dimension_bound, check_parity, check_reflection_vanishing,
+])
+def test_every_classifier_function_meets_a_corrupted_k4_table(monkeypatch, check):
+    """Each one reads all four tables, so none answers from warm caches
+    over a table it does not itself use."""
+    f = family_by_name("D4_125")
+    classify_all()
+    labels, rows = _RAW_TABLES["K4"]
+    monkeypatch.setitem(_RAW_TABLES, "K4", (labels, rows[:3] + ((1, -1, -1, 5),)))
+    with pytest.raises(TableVerificationFailed):
+        check(f)
 
 
 def test_brute_force_sweep_no_reducible_character_matches():

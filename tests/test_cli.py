@@ -214,6 +214,33 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert code == 0 and _sha256(out) == SIMULATE_TELEPORT_JSON_SHA256
 
 
+# sha256 of show-table (text and --json) and show-group for every group,
+# taken at the parent design and the same under PYTHONHASHSEED 0 and 1
+SHOW_SHA256 = {
+    ("show-table", "K4"): "d339a3b25274cd4214ffc821d4564e4b947a7debf6a0a55286e5244faad08c68",
+    ("show-table", "K4", "--json"): "7c56d0a94160d29db07199b13fe1fb2e65f8bc195286af9eb0eab762db7f487a",
+    ("show-group", "K4"): "1f92e78a933d06cfbb775072ec4c8a74285467e5a9c8a19bc2e18d63165bc882",
+    ("show-table", "Z4"): "20dffa78550e6e5bd70313e3c6ff705314901d4810f02c2bd72b5b832986f901",
+    ("show-table", "Z4", "--json"): "90b77b27392c90b5e76a26af8f9129052bc8233775a104a8bb2187fca13bf6e2",
+    ("show-group", "Z4"): "c7ee9f3697e3f60f80454f78e90666a0455c4265458c5aac25b8e7693461cff6",
+    ("show-table", "D4"): "f4e5ba9551a547966c3976cd86d98753d56f36e724edb42663256d994bf912cd",
+    ("show-table", "D4", "--json"): "e7c9dfcf9e3b565e777a44c7b7cf3e9092a66cc9259e0bfe9f4090f8e45ca43f",
+    ("show-group", "D4"): "189b51d75a7921c88968fab8af8dc265464450807780dc20ad2a801ce5164e62",
+    ("show-table", "D8"): "94e8445a681c7ebf0e307bfa920d6143d636c146349e05f7f2e203eb5f832818",
+    ("show-table", "D8", "--json"): "9b01d3eb86b49bc856b2a9c66fc03a83127b507ddf8f4c9f3217415db8ba891d",
+    ("show-group", "D8"): "83e667ce3a5ceb9913859041e89763763286b3a56e018edbc2624d1ee76fe612",
+    ("show-table", "Pauli1"): "b52493e1426634f3bdb1532097dcfcbc7477e40c76018c505c0db7f317ced3bc",
+    ("show-table", "Pauli1", "--json"): "965f99bc30b69c462929110f81da0d78330502896bfc1111b65271789aa96d24",
+    ("show-group", "Pauli1"): "f8f41f1915658b597dd58a6a9aa08d7b6c938ef8d0fefcba8efd6a8167a31f08",
+}
+
+
+@pytest.mark.parametrize("argv", list(SHOW_SHA256), ids=" ".join)
+def test_show_bytes_are_pinned(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and _sha256(out) == SHOW_SHA256[argv]
+
+
 def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
     """main() reuses one parser; no flag or exit code may carry over."""
     def call(argv, fresh=False):
@@ -317,6 +344,13 @@ def test_huge_state_exponent_is_refused_without_hanging():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: bad --state: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_a_state_too_long_to_print_is_refused(capsys, fmt):
+    # within the exponent bound, but 5000 digits: str() of the value would raise
+    code = cli.main(["simulate-teleport", "--state", "9" * 4000 + "e1000,0,0,0", *fmt])
+    _assert_refused(capsys, code)
 
 
 def test_state_accepts_fractions_decimals_and_small_exponents(capsys):

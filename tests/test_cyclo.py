@@ -194,3 +194,14 @@ def test_one_value_built_three_ways_is_one_element():
     again = [a, (a + b) - b, (a * b) / b, a.conjugate().conjugate(), a.galois(3).galois(3)]
     assert len(set(again)) == 1
     assert len({(x, "key") for x in again}) == 1
+
+
+@pytest.mark.parametrize(
+    "plain", [0, 1, -3, 2**70, True, False, Fraction(1, 2), Fraction(-7, 3)], ids=repr
+)
+def test_a_rational_value_hashes_like_the_int_or_fraction_it_equals(plain):
+    x = CycloNum(plain)
+    assert x == plain and hash(x) == hash(plain)
+    assert x in {plain} and plain in {x}
+    assert {x: "cyclo"}.get(plain) == "cyclo" and {plain: "plain"}.get(x) == "plain"
+    assert len({x, plain}) == 1
