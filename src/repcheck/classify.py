@@ -9,8 +9,9 @@ restricts the search to irreducibles.
 Every obstruction is a standalone executable check carrying the set of
 projective classes it rules out.  A family is obstructed exactly when the
 fired scopes cover all its candidate classes; the witness enumeration and
-the obstruction battery are cross-validated against each other on every
-call, and a witness-less class that no check covers raises.
+the obstruction battery are cross-validated against each other once per
+family and table content (a warm `classify` answers from a memo keyed on
+both), and a witness-less class that no check covers raises.
 
 What the checks read off the K4, Z4, D4 and D8 character tables (targets,
 witness candidates, table-level sweeps) is built and verified in one memo
@@ -141,9 +142,14 @@ class _Facts(NamedTuple):
     z4_sweep: dict[ClassFunction, tuple[int, ...]]
 
 
+def _tables() -> tuple[CharTable, ...]:
+    """The K4, Z4, D4 and D8 tables as they are now, each verified."""
+    return tuple(char_table(builtin_group(n)) for n in ("K4", "Z4", "D4", "D8"))
+
+
 def _facts() -> _Facts:
     """The facts of the K4, Z4, D4 and D8 tables as they are now."""
-    return _facts_of(*(char_table(builtin_group(n)) for n in ("K4", "Z4", "D4", "D8")))
+    return _facts_of(*_tables())
 
 
 # Keyed on the verified tables, so a warm entry cannot hide a corrupted one:
@@ -359,7 +365,17 @@ _CHECKS = {
 
 
 def classify(f: Family) -> Verdict:
-    """Run the obstruction battery and the witness enumeration, cross-checked."""
+    """The verdict on f: the obstruction battery and the witness enumeration,
+    cross-checked once per family and table content."""
+    if not isinstance(f, Family):
+        raise TypeError(f"classify needs a Family, got {type(f).__name__}")
+    return _verdict(f, *_tables())
+
+
+# Keyed like _facts_of on the verified tables; a raise is not cached.  Below
+# 7 entries a classify_all would evict each one before it is read again.
+@lru_cache(maxsize=16)
+def _verdict(f: Family, *tables: CharTable) -> Verdict:
     witnesses = tuple(enumerate_witnesses(f))
     witness_classes = {w.projective_class for w in witnesses}
 

@@ -290,9 +290,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so the flush at exit
-        # cannot fail again ("Note on SIGPIPE" in Python's signal docs)
+    except OSError as exc:
+        # stdout failed (_dump raises BadInput for --out): a closed reader is
+        # silent; then point stdout at devnull so the flush at exit cannot
+        # fail again ("Note on SIGPIPE" in Python's signal docs)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

@@ -1,12 +1,13 @@
 """The seven families, their obstructions, and the final verdicts."""
 
+import hashlib
 import itertools
 import json
 import sys
 
 import pytest
 
-from repcheck import characters
+from repcheck import characters, cli
 from repcheck.characters import (
     _RAW_TABLES,
     ProjectiveClassTag,
@@ -39,6 +40,7 @@ from repcheck.classify import (
 )
 from repcheck.cyclo import CycloNum, ONE
 from repcheck.groups import builtin_group
+from test_cli import CLASSIFY_JSON_SHA256
 
 D4 = builtin_group("D4")
 T4 = char_table(D4)
@@ -253,6 +255,7 @@ def test_a_warm_classify_all_computes_no_conjugation_character(monkeypatch):
 
 @pytest.mark.parametrize("check", [
     enumerate_witnesses, check_dimension_bound, check_parity, check_reflection_vanishing,
+    classify,
 ])
 def test_every_classifier_function_meets_a_corrupted_k4_table(monkeypatch, check):
     """Each one reads all four tables, so none answers from warm caches
@@ -263,6 +266,74 @@ def test_every_classifier_function_meets_a_corrupted_k4_table(monkeypatch, check
     monkeypatch.setitem(_RAW_TABLES, "K4", (labels, rows[:3] + ((1, -1, -1, 5),)))
     with pytest.raises(TableVerificationFailed):
         check(f)
+
+
+def test_a_warm_classify_all_runs_no_check_and_no_enumeration(monkeypatch):
+    """Each verdict is memoized per family and table content, so a warm
+    classify_all() reruns neither the battery nor the witness search."""
+    classify_all()
+    module = sys.modules[classify.__module__]
+    calls = []
+    wrapped = {}
+    for name in ("enumerate_witnesses", "check_dimension_bound", "check_z4_abelian",
+                 "check_parity", "check_reflection_vanishing"):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        wrapped[name] = counting
+        monkeypatch.setattr(module, name, counting)
+    # the battery holds the checks themselves, not their module names
+    for group, checks in module._CHECKS.items():
+        monkeypatch.setitem(module._CHECKS, group,
+                            tuple(wrapped[check.__name__] for check in checks))
+    assert [v.realizable for v in classify_all()] == [True, False, True] + [False] * 4
+    assert calls == []
+
+
+def _corrupt_d8_chie1(monkeypatch):
+    labels, rows = _RAW_TABLES["D8"]
+    bad = (2, 0, 0, 0, -2, 0, 0)
+    monkeypatch.setitem(_RAW_TABLES, "D8", (
+        labels, tuple(bad if lbl == "chiE1" else row for lbl, row in zip(labels, rows))))
+
+
+def _corrupt_z4_chi4(monkeypatch):
+    labels, rows = _RAW_TABLES["Z4"]
+    monkeypatch.setitem(_RAW_TABLES, "Z4", (labels, rows[:3] + ((1, -1, -1, 5),)))
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_d8_chie1, _corrupt_z4_chi4], ids=["D8", "Z4"])
+def test_a_warm_verdict_meets_a_corrupted_table(monkeypatch, corrupt):
+    """The verdict memo is keyed on the verified tables, so a table changed
+    after warm-up is read and refused, not answered from the memo."""
+    f = family_by_name("D4_125")
+    assert classify(f).realizable
+    corrupt(monkeypatch)
+    with pytest.raises(TableVerificationFailed):
+        classify(f)
+
+
+def test_an_uncovered_class_raises_on_every_call():
+    """A raise is not memoized: the coverage gap shows again."""
+    toy = Family("toy", D4, T4.irreducibles[0] + T4.irreducibles[1], 2)
+    for _ in range(2):
+        with pytest.raises(ClassifierInconsistency, match="fail to cover"):
+            classify(toy)
+
+
+@pytest.mark.parametrize("bad", ["D4_125", None, ["D4_125"]], ids=["str", "None", "list"])
+def test_classify_refuses_what_is_not_a_family(bad):
+    with pytest.raises(TypeError, match=f"classify needs a Family, got {type(bad).__name__}$"):
+        classify(bad)
+
+
+def test_memoized_verdicts_render_the_pinned_bytes_every_time(tmp_path):
+    """Rendering must not mutate a shared verdict: three in-process runs
+    write the same pinned report."""
+    path = tmp_path / "report.json"
+    for _ in range(3):
+        assert cli.main(["classify", "--json", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSIFY_JSON_SHA256
 
 
 def test_brute_force_sweep_no_reducible_character_matches():

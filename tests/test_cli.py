@@ -337,6 +337,21 @@ def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in (tmp_path / "err").read_text()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [
+    ["classify"], ["verify-all"], ["show-table", "D4"], ["simulate-swap"], ["simulate-teleport"],
+], ids=" ".join)
+def test_a_full_stdout_exits_1_with_an_error_line(command):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repcheck.cli", *command], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_huge_state_exponent_is_refused_without_hanging():
     proc = run_python(
         "-m", "repcheck.cli", "simulate-teleport", "--state", "1e999999999,0,0,0", timeout=30
