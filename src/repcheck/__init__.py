@@ -4,143 +4,11 @@ teleportation-stable families admit a quantum realization.
 Layers: Q(zeta_8) scalars (cyclo), multiplication-table groups (groups),
 class-function algebra (characters), the seven-family classifier
 (classify), exact protocol simulation (quantum), and a named runtime
-verification battery (verify) exposed through the CLI (cli).
+verification battery (verify) exposed through the CLI (cli).  Names are
+imported from their module, e.g. ``from repcheck.classify import classify_all``.
 """
 
-from .cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO
-from .groups import (
-    BUILTIN_NAMES,
-    ConjClassPartition,
-    GroupHom,
-    GroupTable,
-    builtin_group,
-    center,
-    conjugacy_classes,
-    find_isomorphism,
-    quotient,
-    verify_hom,
-)
-from .characters import (
-    CharTable,
-    ClassFunction,
-    ProjectiveClassTag,
-    char_table,
-    conj_character,
-    decompose,
-    inner_product,
-    projective_irreps_d4,
-    pullback,
-    push_to_quotient,
-    regular_character,
-    tensor,
-    trivial_character,
-)
-from .classify import (
-    FAMILY_NAMES,
-    Family,
-    ObstructionKind,
-    ObstructionRecord,
-    Verdict,
-    Witness,
-    classify,
-    classify_all,
-    enumerate_witnesses,
-    family_by_name,
-    full_report,
-    seven_families,
-)
-from .matrices import ExactMatrix, hs_inner, outer
-from .quantum import (
-    Effect,
-    Instrument,
-    OutcomeRecord,
-    ProtocolTrace,
-    PureState,
-    TSIRELSON,
-    bell_basis,
-    bell_state,
-    chsh_value,
-    conj_rep_character_from_matrices,
-    correction_group_check,
-    entanglement_swap,
-    iterate_swap_detailed,
-    pauli,
-    phase_gate,
-    povm_construction,
-    pvm_counting_check,
-    teleport,
-    tsirelson_settings,
-    verify_cocycle,
-)
-from .verify import CheckResult, run_all
+# eager: perfbench's setup_s clock stops after `import repcheck`, which must load the program
+from . import characters, classify, cyclo, groups, matrices, quantum, verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "CharTable",
-    "CheckResult",
-    "ClassFunction",
-    "ConjClassPartition",
-    "CycloNum",
-    "Effect",
-    "ExactMatrix",
-    "FAMILY_NAMES",
-    "Family",
-    "GroupHom",
-    "GroupTable",
-    "I",
-    "INV_SQRT2",
-    "Instrument",
-    "ONE",
-    "ObstructionKind",
-    "ObstructionRecord",
-    "OutcomeRecord",
-    "ProjectiveClassTag",
-    "ProtocolTrace",
-    "PureState",
-    "SQRT2",
-    "TSIRELSON",
-    "Verdict",
-    "Witness",
-    "ZERO",
-    "bell_basis",
-    "bell_state",
-    "builtin_group",
-    "center",
-    "char_table",
-    "chsh_value",
-    "classify",
-    "classify_all",
-    "conj_character",
-    "conj_rep_character_from_matrices",
-    "conjugacy_classes",
-    "correction_group_check",
-    "decompose",
-    "entanglement_swap",
-    "enumerate_witnesses",
-    "family_by_name",
-    "find_isomorphism",
-    "full_report",
-    "hs_inner",
-    "inner_product",
-    "iterate_swap_detailed",
-    "outer",
-    "pauli",
-    "phase_gate",
-    "povm_construction",
-    "projective_irreps_d4",
-    "pullback",
-    "push_to_quotient",
-    "pvm_counting_check",
-    "quotient",
-    "regular_character",
-    "run_all",
-    "seven_families",
-    "teleport",
-    "tensor",
-    "trivial_character",
-    "tsirelson_settings",
-    "verify_cocycle",
-    "verify_hom",
-]

@@ -80,6 +80,11 @@ class PureState:
 
     vector: Vector
 
+    def __post_init__(self):
+        for a in self.vector:
+            if type(a) is not CycloNum:
+                raise TypeError(f"state amplitudes must be CycloNum, got {type(a).__name__}")
+
     @property
     def dim(self) -> int:
         return len(self.vector)
@@ -387,6 +392,10 @@ def entanglement_swap(
         left = bell_state()
     if left.dim != 4:
         raise ValueError("left leg must be a two-qubit state")
+    missing = [lbl for lbl in inst.labels if lbl not in corrections]
+    if missing:
+        raise ValueError(f"corrections lack outcome labels {missing}; "
+                         f"the instrument's labels are {list(inst.labels)}")
     corr_key = tuple(
         sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
                key=lambda item: item[0])
@@ -448,6 +457,11 @@ def iterate_swap_detailed(
         raise ValueError(f"outcome_path supplies {len(outcome_path)} outcomes for {rounds} rounds")
     if inst is None:
         _, inst = povm_construction()
+    if outcome_path is not None:
+        unknown = dict.fromkeys(lbl for lbl in outcome_path[:rounds] if lbl not in inst.labels)
+        if unknown:
+            raise ValueError(f"outcome_path has unknown labels {list(unknown)}; "
+                             f"the instrument's labels are {list(inst.labels)}")
     rng = random.Random(seed) if seed is not None else None
     state = bell_state()
     out = []

@@ -27,7 +27,6 @@ from .characters import (
 )
 from .classify import (
     classify_all,
-    d4_quotient_to_k4,
     family_by_name,
     full_report,
     k4_target_pulled_to_d4,
@@ -321,10 +320,7 @@ def _check_matrix_vs_table_conj() -> str:
     k4_family = family_by_name("K4_1234")
     _require(from_matrices == k4_family.target)
     # both pictures of the K4 realization agree through the quotient
-    proj, iso = d4_quotient_to_k4()
-    from .characters import pullback
-
-    lifted = pullback(pullback(from_matrices, iso), proj)
+    lifted = k4_target_pulled_to_d4(from_matrices)
     chi5 = char_table(builtin_group("D4")).by_label("chi5")
     _require(lifted == conj_character(chi5))
 

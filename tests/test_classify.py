@@ -3,10 +3,10 @@
 import hashlib
 import itertools
 import json
-import sys
 
 import pytest
 
+import repcheck.classify as classify_module
 from repcheck import characters, cli
 from repcheck.characters import (
     _RAW_TABLES,
@@ -241,9 +241,7 @@ def test_a_warm_classify_all_computes_no_conjugation_character(monkeypatch):
     content, not once per call."""
     classify_all()
     calls = []
-    # the package rebinds the name `classify` to the function, so reach the
-    # module through a function it defines
-    for module in (sys.modules[classify.__module__], characters):
+    for module in (classify_module, characters):
         for name in ("conj_character", "push_to_quotient"):
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls.append(_name)
@@ -272,19 +270,18 @@ def test_a_warm_classify_all_runs_no_check_and_no_enumeration(monkeypatch):
     """Each verdict is memoized per family and table content, so a warm
     classify_all() reruns neither the battery nor the witness search."""
     classify_all()
-    module = sys.modules[classify.__module__]
     calls = []
     wrapped = {}
     for name in ("enumerate_witnesses", "check_dimension_bound", "check_z4_abelian",
                  "check_parity", "check_reflection_vanishing"):
-        def counting(*args, _real=getattr(module, name), _name=name):
+        def counting(*args, _real=getattr(classify_module, name), _name=name):
             calls.append(_name)
             return _real(*args)
         wrapped[name] = counting
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(classify_module, name, counting)
     # the battery holds the checks themselves, not their module names
-    for group, checks in module._CHECKS.items():
-        monkeypatch.setitem(module._CHECKS, group,
+    for group, checks in classify_module._CHECKS.items():
+        monkeypatch.setitem(classify_module._CHECKS, group,
                             tuple(wrapped[check.__name__] for check in checks))
     assert [v.realizable for v in classify_all()] == [True, False, True] + [False] * 4
     assert calls == []

@@ -127,8 +127,20 @@ def test_galois_maps_are_automorphisms():
             a, b = rand_cyclo(), rand_cyclo()
             assert (a * b).galois(k) == a.galois(k) * b.galois(k)
             assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert a.conjugate() == a.galois(7)
+            for l in (1, 3, 5, 7):
+                assert a.galois(k).galois(l) == a.galois(k * l % 8)
     with pytest.raises(ValueError):
         ONE.galois(2)
+
+
+def test_float_embedding_is_a_ring_homomorphism():
+    assert abs(ONE.to_complex() - 1) < 1e-12
+    for _ in range(30):
+        a, b = rand_cyclo(), rand_cyclo()
+        assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-12
+        assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-12
+        assert abs((-a).to_complex() + a.to_complex()) < 1e-12
 
 
 @pytest.mark.parametrize(

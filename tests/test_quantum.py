@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,40 @@ def test_swap_rejects_a_kraus_operator_that_is_not_4x4():
     inst = Instrument(labels=("id",), kraus=(ExactMatrix.identity(2),))
     with pytest.raises(ValueError, match="not 4x4"):
         entanglement_swap(inst, corrections={"id": ("I", pauli(0))})
+
+
+def test_swap_names_the_outcome_labels_its_corrections_lack():
+    _, inst = povm_construction()
+    labels = list(inst.labels)
+    message = f"corrections lack outcome labels {labels[1:]}; the instrument's labels are {labels}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entanglement_swap(inst, corrections={"b0": ("I", pauli(0))})
+    # refused before any work: this instrument is incomplete as well
+    broken = Instrument(labels=inst.labels[:7], kraus=inst.kraus[:7])
+    with pytest.raises(ValueError, match="lack outcome labels"):
+        entanglement_swap(broken, corrections={"b0": ("I", pauli(0))})
+
+
+@pytest.mark.parametrize("rounds,path,unknown", [
+    (1, ["zz"], "['zz']"),
+    (2, ["b0", "zz"], "['zz']"),
+    (2, "b0b1", "['b', '0']"),  # a string is read one character per round
+])
+def test_iterate_swap_names_an_unknown_outcome_label(rounds, path, unknown):
+    message = f"unknown labels {unknown}; the instrument's labels are ['b0', 'b1',"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        iterate_swap_detailed(rounds, outcome_path=path)
+
+
+@pytest.mark.parametrize("amps,name", [
+    ((1, 0), "int"),
+    ((Fraction(1, 2), ONE), "Fraction"),
+    ((ONE, 0.5), "float"),
+    ((1, 0, 0, 1), "int"),
+])
+def test_a_state_needs_cyclonum_amplitudes(amps, name):
+    with pytest.raises(TypeError, match=f"must be CycloNum, got {name}"):
+        PureState(amps)
 
 
 # sha256 over the repr of every OutcomeRecord field that
