@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 RatLike = Union[int, Fraction]
@@ -350,31 +350,17 @@ INV_SQRT2 = CycloNum(0, Fraction(1, 2), 0, Fraction(-1, 2))
 def sqrt_of_fraction(q: Fraction) -> "CycloNum | None":
     """Exact square root of a non-negative rational, if it lies in Q(zeta_8).
 
-    Returns r or r*sqrt2 with r rational, else None.
+    Returns r or r*sqrt2 with r rational, else None.  Works on q's numerator
+    and denominator, which are coprime, so their square roots are too.
     """
-    if q < 0:
+    n, d = q.numerator, q.denominator
+    if n < 0:
         return None
-    if q == 0:
-        return ZERO
-
-    def _rat_sqrt(f: Fraction) -> "Fraction | None":
-        num = _isqrt_exact(f.numerator)
-        den = _isqrt_exact(f.denominator)
-        if num is None or den is None:
-            return None
-        return Fraction(num, den)
-
-    r = _rat_sqrt(q)
-    if r is not None:
-        return CycloNum.from_rational(r)
-    r = _rat_sqrt(q / 2)
-    if r is not None:
-        return CycloNum.from_rational(r) * SQRT2
+    a, b = isqrt(n), isqrt(d)
+    if a * a == n and b * b == d:
+        return _raw((a, 0, 0, 0), b)
+    n, d = (n // 2, d) if n % 2 == 0 else (n, 2 * d)  # q/2 in lowest terms
+    a, b = isqrt(n), isqrt(d)
+    if a * a == n and b * b == d:
+        return _raw((0, a, 0, -a), b)  # (a/b) * sqrt2, sqrt2 = z - z^3
     return None
-
-
-def _isqrt_exact(n: int) -> "int | None":
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None

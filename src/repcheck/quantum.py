@@ -13,7 +13,9 @@ Qubit 0 is the leftmost tensor factor throughout.
 Both protocols make one pair measurement, ``_measure_pair``: a bra <w| on
 the qubit pair just before the last qubit, which is then corrected.  So the
 swap takes rank-one Kraus operators |u><w| only, factored once per
-instrument; any other rank raises IncompleteInstrument.
+instrument; any other rank raises IncompleteInstrument.  It evaluates CHSH
+once per distinct post-state ray, which is exact because CHSH is invariant
+under a non-zero scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
 
 The fixed operators (Paulis, phase gate, Bell basis, corrections) are built
 once at import.  The POVM and its instrument are built and checked once per
@@ -81,6 +83,8 @@ class PureState:
     vector: Vector
 
     def __post_init__(self):
+        # a tuple, so a list or generator is read once and the state hashes
+        object.__setattr__(self, "vector", tuple(self.vector))
         for a in self.vector:
             if type(a) is not CycloNum:
                 raise TypeError(f"state amplitudes must be CycloNum, got {type(a).__name__}")
@@ -208,6 +212,13 @@ def _probability(pair: Vector, scale: CycloNum) -> Fraction:
     swap outcome |u><w| (its branch is u x pair).  The squared norms may lie
     in Q(sqrt2); only the probability is rational."""
     return (vec_inner(pair, pair) * scale).as_fraction()
+
+
+def _pivot_one(v: Vector) -> Vector:
+    """v scaled so its first non-zero entry is 1, a key for its ray; a zero
+    v stays zero."""
+    inv = next((a for a in v if not a.is_zero()), ONE).inverse()
+    return tuple(a * inv for a in v)
 
 
 def _normalized_if_possible(v: Vector) -> Vector:
@@ -410,6 +421,7 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
     full = vec_tensor(left_vector, _PHI.vector)
     inv_total = vec_inner(full, full).inverse()
     settings = tsirelson_settings()
+    chsh_by_ray: dict[Vector, CycloNum] = {}
 
     records = []
     for label, (u, w) in zip(inst.labels, factors):
@@ -420,20 +432,15 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
                                          corrections[label][0], PureState((ZERO,) * 4), None))
             continue
         # first non-zero entry 1, so chained rounds reuse a few cache keys
-        inv_pivot = next(a for a in pair if not a.is_zero()).inverse()
-        cond = _normalized_if_possible(tuple(a * inv_pivot for a in pair))
+        cond = _normalized_if_possible(_pivot_one(pair))
         corr_label, corr = corrections[label]
         post = PureState(corr.apply(cond[:2]) + corr.apply(cond[2:]))
-        records.append(
-            OutcomeRecord(
-                label=label,
-                probability=prob,
-                conditional=PureState(cond),
-                correction_label=corr_label,
-                post=post,
-                chsh=chsh_value(post, settings),
-            )
-        )
+        # a zero post has no ray and reaches chsh_value, which refuses it
+        ray = _pivot_one(post.vector)
+        chsh = chsh_by_ray.get(ray)
+        if chsh is None:
+            chsh = chsh_by_ray[ray] = chsh_value(post, settings)
+        records.append(OutcomeRecord(label, prob, PureState(cond), corr_label, post, chsh))
     return ProtocolTrace(tuple(records))
 
 

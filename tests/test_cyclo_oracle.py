@@ -16,7 +16,7 @@ import pytest
 
 import cyclo_oracle as oracle
 from repcheck.characters import ClassFunction, char_table, inner_product
-from repcheck.cyclo import SQRT2, CycloNum, inner
+from repcheck.cyclo import SQRT2, CycloNum, inner, sqrt_of_fraction
 from repcheck.groups import BUILTIN_NAMES, builtin_group, conjugacy_classes
 from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
 
@@ -382,3 +382,36 @@ def test_a_non_rational_operand_is_refused(other):
     assert (x == other) is False
     assert (other == x) is False
     assert (x != other) is True
+
+
+def test_sqrt_of_fraction_hypothesis_matches_oracle():
+    """The integer square root against the oracle's Fraction one, on
+    rationals that are, and are not, r^2 or 2r^2 for a rational r."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                          st.integers(min_value=1, max_value=10**6))
+    shapes = st.sampled_from([
+        lambda r: r,
+        lambda r: -r,
+        lambda r: r * r,
+        lambda r: -r * r,
+        lambda r: 2 * r * r,
+        lambda r: r * r / 2,
+        lambda r: Fraction(0),
+    ])
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(shapes, rationals)
+    def check(shape, r):
+        q = shape(r)
+        new, old = sqrt_of_fraction(q), oracle.sqrt_of_fraction(q)
+        if old is None:
+            assert new is None
+        else:
+            same(new, old)
+            assert new * new == q
+
+    check()

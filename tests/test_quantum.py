@@ -12,6 +12,7 @@ import pytest
 from repcheck.characters import char_table, conj_character
 from repcheck.cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO
 from repcheck.groups import builtin_group, verify_hom
+from repcheck import quantum
 from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
 from repcheck.quantum import (
     IncompleteInstrument,
@@ -461,14 +462,15 @@ def test_iterate_swap_all_depth2_paths():
         assert [r.chsh for r in records] == [TSIRELSON] * 2
 
 
-def test_wrong_correction_table_breaks_the_protocol():
-    # negative control: shift sigma_k to sigma_{k+1}
-    _, inst = povm_construction()
+def shifted_corrections():
+    """The negative control: b_k and a_k corrected as b_{k+1} and a_{k+1}."""
     good = standard_corrections()
-    shifted = {}
-    for k in range(4):
-        shifted[f"b{k}"] = good[f"b{(k + 1) % 4}"]
-        shifted[f"a{k}"] = good[f"a{(k + 1) % 4}"]
+    return {f"{f}{k}": good[f"{f}{(k + 1) % 4}"] for f in "ab" for k in range(4)}
+
+
+def test_wrong_correction_table_breaks_the_protocol():
+    _, inst = povm_construction()
+    shifted = shifted_corrections()
     values = [r.chsh for r in iterate_swap_detailed(1, outcome_path=["b1"], corrections=shifted)]
     assert values[0] != TSIRELSON
     trace = entanglement_swap(inst, corrections=shifted)
@@ -477,6 +479,78 @@ def test_wrong_correction_table_breaks_the_protocol():
         rec.chsh != TSIRELSON or rec.post.proportional_to(phi) is None
         for rec in trace.outcomes
     )
+
+
+def gaussian_left_state(rng):
+    """A non-zero two-qubit state with amplitudes in Q(i)."""
+    while True:
+        amps = tuple(
+            CycloNum(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0,
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0)
+            for _ in range(4)
+        )
+        if any(not a.is_zero() for a in amps):
+            return PureState(amps)
+
+
+def test_every_swap_record_has_the_chsh_of_its_own_post_state():
+    """The swap evaluates CHSH once per post-state ray; every record must
+    still carry exactly the value computed from its own post state."""
+    _, inst = povm_construction()
+    settings = tsirelson_settings()
+    rng = random.Random(1313)
+    doubled = standard_corrections()
+    doubled["b1"] = ("2X", pauli(1).scale(2))  # not unitary, same ray as X
+    cases = [(standard_corrections(), bell_state())]
+    cases += [(standard_corrections(), gaussian_left_state(rng)) for _ in range(24)]
+    cases += [(shifted_corrections(), bell_state()), (doubled, bell_state())]
+    cases += [(shifted_corrections(), gaussian_left_state(rng)) for _ in range(4)]
+    for corrections, left in cases:
+        trace = entanglement_swap(inst, corrections, left=left)
+        assert len(trace.outcomes) == 8
+        for rec in trace.outcomes:
+            assert rec.chsh == chsh_value(rec.post, settings)
+
+
+@pytest.mark.parametrize("corrections,calls", [
+    (standard_corrections(), 1),
+    (shifted_corrections(), 3),
+])
+def test_one_swap_miss_evaluates_chsh_once_per_post_ray(monkeypatch, corrections, calls):
+    seen = []
+
+    def counting(state, settings):
+        seen.append(state)
+        return chsh_value(state, settings)
+
+    monkeypatch.setattr(quantum, "chsh_value", counting)
+    quantum._swap_cached.cache_clear()
+    _, inst = povm_construction()
+    left = gaussian_left_state(random.Random(1314))
+    trace = entanglement_swap(inst, corrections, left=left)
+    assert len(seen) == calls
+    assert len({rec.chsh for rec in trace.outcomes}) <= calls
+    entanglement_swap(inst, corrections, left=left)  # a cache hit evaluates nothing
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("label", ["b0", "a2", "a3"])
+def test_a_zero_correction_still_raises_zero_state(label):
+    _, inst = povm_construction()
+    corrections = standard_corrections()
+    corrections[label] = ("Z0", ExactMatrix.zeros(2, 2))
+    with pytest.raises(ZeroState):
+        entanglement_swap(inst, corrections)
+
+
+def test_a_state_built_from_a_list_or_a_generator_is_a_tuple():
+    amps = [ONE, ZERO, ZERO, ONE]
+    expected = PureState(tuple(amps))
+    for state in (PureState(amps), PureState(a for a in amps)):
+        assert state == expected and hash(state) == hash(expected)
+        assert type(state.vector) is tuple
+    _, inst = povm_construction()
+    assert entanglement_swap(inst, left=PureState(amps)) == entanglement_swap(inst, left=expected)
 
 
 # ----------------------------------------------------------------------
