@@ -66,6 +66,11 @@ class ClassFunction:
     values: tuple[CycloNum, ...]
 
     def __post_init__(self):
+        # a tuple, so a list or generator is read once and the function hashes
+        object.__setattr__(self, "values", tuple(self.values))
+        for v in self.values:
+            if type(v) is not CycloNum:
+                raise TypeError(f"class function values must be CycloNum, got {type(v).__name__}")
         k = len(conjugacy_classes(self.group))
         if len(self.values) != k:
             raise ValueError(f"expected {k} class values, got {len(self.values)}")
@@ -116,9 +121,11 @@ class CharTable:
 
 
 def combination(chars: Sequence[ClassFunction], ns: Sequence[int]) -> ClassFunction:
-    """sum ns[i] * chars[i] by repeated addition; ns must not be all zero."""
+    """sum ns[i] * chars[i] by repeated addition; ns >= 0, not all zero."""
     total = None
-    for n, chi in zip(ns, chars, strict=True):
+    for i, (n, chi) in enumerate(zip(ns, chars, strict=True)):
+        if n < 0:
+            raise ValueError(f"multiplicity ns[{i}] = {n} is negative")
         for _ in range(n):
             total = chi if total is None else total + chi
     if total is None:

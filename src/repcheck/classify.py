@@ -42,7 +42,7 @@ from .characters import (
     trivial_character,
 )
 from .cyclo import ONE, ZERO
-from .groups import GroupTable, builtin_group, center, find_isomorphism, quotient
+from .groups import GroupHom, GroupTable, builtin_group, center, find_isomorphism, quotient
 
 
 class WrongGroup(Exception):
@@ -221,18 +221,17 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
 # witness enumeration
 
 @lru_cache(maxsize=1)
-def d4_quotient_to_k4() -> tuple:
-    """(projection D4 -> D4/<r2>, isomorphism D4/<r2> -> K4)."""
+def d4_quotient_to_k4() -> GroupHom:
+    """D4 -> K4, the projection onto D4/<r2> then an isomorphism onto K4."""
     d4 = builtin_group("D4")
     q, proj = quotient(d4, center(d4))
     iso = find_isomorphism(q, builtin_group("K4"))
-    return proj, iso
+    return GroupHom(d4, iso.target, tuple(iso(proj(a)) for a in d4.elements()))
 
 
 def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
     """A K4 class function viewed on D4 through the quotient map."""
-    proj, iso = d4_quotient_to_k4()
-    return pullback(pullback(target, iso), proj)
+    return pullback(target, d4_quotient_to_k4())
 
 
 def enumerate_witnesses(f: Family) -> list[Witness]:

@@ -86,10 +86,6 @@ class CycloNum:
         return tuple(Fraction(n, d) for n in self._n)
 
     @classmethod
-    def from_rational(cls, q: RatLike) -> CycloNum:
-        return cls(q, 0, 0, 0)
-
-    @classmethod
     def zeta(cls, power: int = 1) -> CycloNum:
         """z**power, reduced by z^4 = -1."""
         k = power % 8

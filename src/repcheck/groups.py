@@ -79,10 +79,6 @@ class GroupTable:
 
     # ------------------------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 

@@ -1,19 +1,12 @@
-"""Matrices and vectors over Q(zeta_8).
+"""Dense exact matrices and vectors over Q(zeta_8).
 
-Everything stays exact: unitarity, Hermiticity and operator identities are
-equality tests, never tolerance tests.  Sizes never exceed 16x16 here.  A
-matrix keeps its dense entries and, per row, the (column, value) pairs of its
-non-zero entries; products, applications and tensor products pay for those
-pairs only.  The protocol operators are mostly zeros (a Pauli has 2 non-zero
-entries of 4, a Kraus operator of the swap 4 of 16), while a dense matrix
-costs the same as a plain triple loop.  <v|w> and tr(X^dag Y) go through the
-package's one Hermitian inner-product kernel, ``cyclo.inner``, which skips
-zero terms itself.
-
-The public constructor coerces every entry to CycloNum and refuses ragged
-rows.  Results built inside the class (products, sums, scalings, conjugates,
-transposes, tensor products) already hold tuple rows of CycloNum of a known
-width, so they skip both steps.
+Unitarity, Hermiticity and operator identities are equality tests, never
+tolerance tests.  The protocols need nothing larger than 4x4; products,
+applications and tensor products skip zero operands as they meet them, and
+Hermitian inner products go through ``cyclo.inner``.  ``ray_key`` and
+``_pivot_one`` scale a matrix or a vector so its first non-zero entry is 1,
+one key per ray.  The public constructor coerces entries to CycloNum and
+refuses ragged rows; results built inside the class skip both steps.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ def _as_cyclo(x: Scalar) -> CycloNum:
 class ExactMatrix:
     """An immutable rows x cols matrix with CycloNum entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_nonzero", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(_as_cyclo(x) for x in row) for row in entries)
@@ -57,11 +50,6 @@ class ExactMatrix:
         self.entries = entries
         self.rows = len(entries)
         self.cols = cols if entries else 0  # as the public constructor: no rows, no columns
-        # per row, the (column, value) pairs of its non-zero entries
-        self._nonzero = tuple(
-            tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
-            for row in entries
-        )
         self._hash = None  # computed on first use: most matrices are never hashed
 
     @classmethod
@@ -76,9 +64,7 @@ class ExactMatrix:
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> ExactMatrix:
         n = len(values)
-        return cls(
-            [[_as_cyclo(values[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls([[x if i == j else ZERO for j in range(n)] for i, x in enumerate(values)])
 
     def __getitem__(self, ij: tuple[int, int]) -> CycloNum:
         i, j = ij
@@ -107,9 +93,6 @@ class ExactMatrix:
         self._check_shape(other)
         return self._map(CycloNum.__sub__, other)
 
-    def __neg__(self) -> ExactMatrix:
-        return self._map(CycloNum.__neg__)
-
     def scale(self, c: Scalar) -> ExactMatrix:
         return self._map(_as_cyclo(c).__mul__)
 
@@ -117,11 +100,13 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = []
-        for row in self._nonzero:
+        for row in self.entries:
             acc = [ZERO] * other.cols
-            for k, a in row:
-                for j, b in other._nonzero[k]:
-                    acc[j] = acc[j] + a * b
+            for a, other_row in zip(row, other.entries):
+                if not a.is_zero():
+                    for j, b in enumerate(other_row):
+                        if not b.is_zero():
+                            acc[j] = acc[j] + a * b
             out.append(tuple(acc))
         return ExactMatrix._of(tuple(out), other.cols)
 
@@ -141,21 +126,20 @@ class ExactMatrix:
     def trace(self) -> CycloNum:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
+        return _total([self.entries[i][i] for i in range(self.rows)])
 
     def tensor(self, other: ExactMatrix) -> ExactMatrix:
         """Kronecker product; row-major qubit convention."""
         width = other.cols
         out = []
-        for ra in self._nonzero:
-            for rb in other._nonzero:
+        for ra in self.entries:
+            for rb in other.entries:
                 row = [ZERO] * (self.cols * width)
-                for i, a in ra:
-                    for j, b in rb:
-                        row[i * width + j] = a * b
+                for i, a in enumerate(ra):
+                    if not a.is_zero():
+                        for j, b in enumerate(rb):
+                            if not b.is_zero():
+                                row[i * width + j] = a * b
                 out.append(tuple(row))
         return ExactMatrix._of(tuple(out), self.cols * width)
 
@@ -163,8 +147,8 @@ class ExactMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
-            _total([a * v[j] for j, a in row if not v[j].is_zero()])
-            for row in self._nonzero
+            _total([a * x for a, x in zip(row, v) if not (a.is_zero() or x.is_zero())])
+            for row in self.entries
         )
 
     def is_hermitian(self) -> bool:
@@ -205,15 +189,6 @@ def vec_inner(v: Vector, w: Vector) -> CycloNum:
     return inner(v, w)
 
 
-def vec_norm_sq(v: Vector) -> Fraction:
-    """<v|v> as a Fraction.
-
-    Raises ValueError when <v|v> lies in Q(sqrt2) but not in Q, e.g. for
-    v = (1 + zeta, 1); vec_inner(v, v) returns such a norm as a field element.
-    """
-    return vec_inner(v, v).as_fraction()
-
-
 def vec_tensor(v: Vector, w: Vector) -> Vector:
     return tuple(ZERO if a.is_zero() or b.is_zero() else a * b for a in v for b in w)
 
@@ -239,13 +214,20 @@ def proportionality(v: Vector, w: Vector) -> "CycloNum | None":
     return c if all(x == c * y for x, y in zip(v, w)) else None
 
 
+def _pivot_one(v: Vector) -> Vector:
+    """v scaled so its first non-zero entry is 1, a key for its ray; a zero
+    v stays zero."""
+    inv = next((a for a in v if not a.is_zero()), ONE).inverse()
+    return tuple(a * inv for a in v)
+
+
 def ray_key(m: ExactMatrix) -> ExactMatrix:
     """m scaled so its first non-zero entry (row-major) is 1.
 
     Two non-zero matrices are proportional exactly when their keys are
     equal.  A zero matrix has no ray and raises ValueError.
     """
-    pivot = next((row[0][1] for row in m._nonzero if row), None)
+    pivot = next((x for x in _flat(m) if not x.is_zero()), None)
     if pivot is None:
         raise ValueError("a zero matrix has no ray")
     return m.scale(pivot.inverse())

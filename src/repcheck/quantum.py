@@ -42,11 +42,11 @@ from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find
 from .matrices import (
     ExactMatrix,
     Vector,
+    _pivot_one,
     outer,
     proportionality,
     ray_key,
     vec_inner,
-    vec_norm_sq,
     vec_tensor,
 )
 
@@ -93,16 +93,8 @@ class PureState:
     def dim(self) -> int:
         return len(self.vector)
 
-    def norm_sq(self) -> Fraction:
-        """<psi|psi> as a Fraction; raises ValueError when it lies in Q(sqrt2)
-        but not in Q (use vec_inner(v, v) for the field element)."""
-        return vec_norm_sq(self.vector)
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.vector)
-
-    def inner(self, other: PureState) -> CycloNum:
-        return vec_inner(self.vector, other.vector)
 
     def proportional_to(self, other: PureState) -> "CycloNum | None":
         return proportionality(self.vector, other.vector)
@@ -212,13 +204,6 @@ def _probability(pair: Vector, scale: CycloNum) -> Fraction:
     swap outcome |u><w| (its branch is u x pair).  The squared norms may lie
     in Q(sqrt2); only the probability is rational."""
     return (vec_inner(pair, pair) * scale).as_fraction()
-
-
-def _pivot_one(v: Vector) -> Vector:
-    """v scaled so its first non-zero entry is 1, a key for its ray; a zero
-    v stays zero."""
-    inv = next((a for a in v if not a.is_zero()), ONE).inverse()
-    return tuple(a * inv for a in v)
 
 
 def _normalized_if_possible(v: Vector) -> Vector:

@@ -317,6 +317,27 @@ def test_combination_refuses_an_all_zero_or_misaligned_vector():
         combination(T4.irreducibles, (1, 1))
 
 
+def test_combination_refuses_a_negative_multiplicity():
+    # range(-1) is empty, so without the check this would equal chi1
+    with pytest.raises(ValueError, match=r"ns\[1\] = -1 is negative"):
+        combination(T4.irreducibles, (1, -1, 0, 0, 0))
+
+
+def test_a_class_function_from_a_list_or_generator_is_its_tuple_twin():
+    twin = T4.by_label("chi5")
+    for values in (list(twin.values), (v for v in twin.values)):
+        f = ClassFunction(D4, values)
+        assert type(f.values) is tuple
+        assert f == twin and hash(f) == hash(twin)
+
+
+@pytest.mark.parametrize("bad", [1, True, Fraction(1, 2), 1.0, "1"],
+                         ids=["int", "bool", "Fraction", "float", "str"])
+def test_a_class_function_refuses_values_that_are_not_cyclonum(bad):
+    with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+        ClassFunction(D4, (ONE,) * 4 + (bad,))
+
+
 def test_corrupted_table_entry_is_caught_at_load(monkeypatch):
     labels, rows = _RAW_TABLES["D4"]
     bad_rows = tuple(

@@ -10,6 +10,7 @@ import repcheck.classify as classify_module
 from repcheck import characters, cli
 from repcheck.characters import (
     _RAW_TABLES,
+    ClassFunction,
     ProjectiveClassTag,
     TableVerificationFailed,
     char_table,
@@ -31,6 +32,7 @@ from repcheck.classify import (
     check_z4_abelian,
     classify,
     classify_all,
+    d4_quotient_to_k4,
     enumerate_witnesses,
     family_by_name,
     full_report,
@@ -39,7 +41,7 @@ from repcheck.classify import (
     seven_families,
 )
 from repcheck.cyclo import CycloNum, ONE
-from repcheck.groups import builtin_group
+from repcheck.groups import GroupHom, builtin_group, center, verify_hom
 from test_cli import CLASSIFY_JSON_SHA256
 
 D4 = builtin_group("D4")
@@ -120,6 +122,34 @@ def test_parity_check_is_silent_on_the_k4_pullback_target():
     pulled = k4_target_pulled_to_d4(family_by_name("K4_1234").target)
     synthetic = Family(name="K4_pullback", group=D4, target=pulled, dimension=4)
     assert check_parity(synthetic) is None  # chi5 multiplicity 0 is even
+
+
+def test_the_d4_to_k4_map_is_one_verified_surjective_hom():
+    hom = d4_quotient_to_k4()
+    assert isinstance(hom, GroupHom)
+    assert (hom.source, hom.target) == (D4, builtin_group("K4"))
+    assert verify_hom(hom) and hom.is_surjective()
+    assert tuple(a for a in D4.elements() if hom(a) == 0) == center(D4)
+
+
+def test_k4_target_pulled_to_d4_makes_one_pullback(monkeypatch):
+    real, calls = classify_module.pullback, []
+
+    def counting(f, hom):
+        calls.append(hom)
+        return real(f, hom)
+
+    monkeypatch.setattr(classify_module, "pullback", counting)
+    pulled = k4_target_pulled_to_d4(family_by_name("K4_1234").target)
+    assert calls == [d4_quotient_to_k4()]
+    assert pulled == conj_character(T4.by_label("chi5"))
+
+
+def test_classify_accepts_a_target_built_from_a_list():
+    target = family_by_name("D4_125").target
+    family = Family("D4_125", D4, ClassFunction(D4, list(target.values)), 4)
+    assert family == family_by_name("D4_125")
+    assert classify(family) == classify(family_by_name("D4_125"))
 
 
 def test_parity_check_wrong_group():

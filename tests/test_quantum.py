@@ -105,7 +105,7 @@ def test_bell_basis_gram_matrix_is_identity():
     for j in range(4):
         for k in range(4):
             expected = ONE if j == k else ZERO
-            assert b[j].inner(b[k]) == expected
+            assert vec_inner(b[j].vector, b[k].vector) == expected
 
 
 def test_bell_basis_is_the_same_on_every_call():
