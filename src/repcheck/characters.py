@@ -8,9 +8,9 @@ conjugacy-class order from the groups module (lowest-index representatives).
 Character inner products and the column-orthogonality sums go through the
 package's one Hermitian inner-product kernel, ``cyclo.inner``.
 
-The two projective classes of D4 are handled through its order-16 cover:
-the non-trivial class corresponds to the irreducible characters of D8 on
-which the central element z^4 acts as -1.
+The non-trivial projective class of D4 is read on its order-16 cover D8:
+the D8 irreducibles on which the central z^4 acts as -1, whose conjugation
+characters descend to D4 along groups.central_quotient(D8, D4).
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
+from .cyclo import CycloNum, I, ONE, SQRT2, ZERO, as_cyclo, inner
 from .groups import (
     GroupHom,
     GroupTable,
     builtin_group,
+    center,
+    central_quotient,
     conjugacy_classes,
     verify_hom,
 )
@@ -299,12 +301,10 @@ _RAW_TABLES: dict[str, tuple[tuple[str, ...], tuple[tuple, ...]]] = {
 }
 
 
-def _as_cyclo(x) -> CycloNum:
-    return x if isinstance(x, CycloNum) else CycloNum(x)
-
-
 def char_table(g: GroupTable) -> CharTable:
     """The irreducible character table of a built-in group, verified."""
+    if not isinstance(g, GroupTable):
+        raise TypeError(f"char_table needs a GroupTable, got {type(g).__name__}")
     if g.name not in _RAW_TABLES or g != builtin_group(g.name):
         raise ValueError(f"no built-in character table for {g!r}")
     labels, rows = _RAW_TABLES[g.name]
@@ -317,7 +317,7 @@ def _verified_table(g: GroupTable, labels: tuple[str, ...], rows: tuple[tuple, .
     entry is new content and is verified again.  A failed verification
     raises and is not cached."""
     irreducibles = tuple(
-        ClassFunction(g, tuple(_as_cyclo(x) for x in row)) for row in rows
+        ClassFunction(g, tuple(as_cyclo(x) for x in row)) for row in rows
     )
     table = CharTable(group=g, labels=labels, irreducibles=irreducibles)
     _verify_table(table, conjugacy_classes(g).sizes)
@@ -359,10 +359,6 @@ def _verify_table(t: CharTable, sizes: Sequence[int]) -> None:
 # ----------------------------------------------------------------------
 # the two projective classes of D4, via the order-16 cover
 
-# lifts of the D4 class representatives (e, r, r2, s, rs) into D8
-D8_LIFTS_OF_D4_REPS = (0, 1, 2, 8, 9)  # e, z, z2, h, zh
-
-
 def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunction], ...]:
     """Irreducible (projective) characters of D4 in the given multiplier class.
 
@@ -374,9 +370,10 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
     if tag is ProjectiveClassTag.TRIVIAL:
         t = char_table(builtin_group("D4"))
         return tuple(zip(t.labels, t.irreducibles))
-    t = char_table(builtin_group("D8"))
-    cc = conjugacy_classes(builtin_group("D8"))
-    central_class = cc.class_of[4]  # element z4
+    d8 = builtin_group("D8")
+    t = char_table(d8)
+    _, z4 = center(d8)
+    central_class = conjugacy_classes(d8).class_of[z4]
     picked = []
     for label, chi in zip(t.labels, t.irreducibles):
         if chi.values[central_class] == -chi.values[0]:
@@ -385,16 +382,20 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
 
 
 def push_to_quotient(f: ClassFunction) -> ClassFunction:
-    """Descend a z^4-invariant class function on D8 to D4 via the fixed lifts."""
-    d8 = builtin_group("D8")
+    """Descend a class function on D8 to D4 along D8 -> D8/Z(D8) = D4: each
+    D4 class takes the value f has on its fibre, which must be constant."""
+    if not isinstance(f, ClassFunction):
+        raise TypeError(f"push_to_quotient needs a ClassFunction, got {type(f).__name__}")
+    d8, d4 = builtin_group("D8"), builtin_group("D4")
     if f.group != d8:
         raise GroupMismatch(f"expected a class function on D8, got {f.group.name}")
-    z4 = 4
-    class_of = conjugacy_classes(d8).class_of
+    proj = central_quotient(d8, d4)
+    class_of = conjugacy_classes(d4).class_of
+    values: dict[int, CycloNum] = {}
     for g in d8.elements():
-        if f.values[class_of[d8.mul(z4, g)]] != f.values[class_of[g]]:
+        fg = f.at_element(g)
+        if values.setdefault(class_of[proj(g)], fg) != fg:
             raise NotDescendable(
-                f"value changes across the coset of {d8.word(g)}: not constant on <z4> cosets"
+                f"not constant on the fibre of the D4 class of {d4.word(proj(g))}"
             )
-    d4 = builtin_group("D4")
-    return ClassFunction(d4, tuple(f.values[class_of[x]] for x in D8_LIFTS_OF_D4_REPS))
+    return ClassFunction(d4, tuple(values[c] for c in range(len(values))))

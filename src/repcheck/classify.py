@@ -42,7 +42,7 @@ from .characters import (
     trivial_character,
 )
 from .cyclo import ONE, ZERO
-from .groups import GroupHom, GroupTable, builtin_group, center, find_isomorphism, quotient
+from .groups import GroupTable, builtin_group, central_quotient
 
 
 class WrongGroup(Exception):
@@ -220,18 +220,9 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
 # ----------------------------------------------------------------------
 # witness enumeration
 
-@lru_cache(maxsize=1)
-def d4_quotient_to_k4() -> GroupHom:
-    """D4 -> K4, the projection onto D4/<r2> then an isomorphism onto K4."""
-    d4 = builtin_group("D4")
-    q, proj = quotient(d4, center(d4))
-    iso = find_isomorphism(q, builtin_group("K4"))
-    return GroupHom(d4, iso.target, tuple(iso(proj(a)) for a in d4.elements()))
-
-
 def k4_target_pulled_to_d4(target: ClassFunction) -> ClassFunction:
-    """A K4 class function viewed on D4 through the quotient map."""
-    return pullback(target, d4_quotient_to_k4())
+    """A K4 class function viewed on D4 through D4 -> D4/Z(D4) = K4."""
+    return pullback(target, central_quotient(builtin_group("D4"), builtin_group("K4")))
 
 
 def enumerate_witnesses(f: Family) -> list[Witness]:

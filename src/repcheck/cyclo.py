@@ -58,8 +58,11 @@ def _ratio(c) -> tuple[int, int]:
     """(numerator, denominator) of a rational coefficient, in lowest terms."""
     if type(c) is int:
         return c, 1
+    if isinstance(c, float):
+        # a binary float is not the decimal it was typed as: 0.1 is not 1/10
+        raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
     if type(c) is not Fraction:
-        c = Fraction(c)  # bools, int and Fraction subclasses, strings, floats
+        c = Fraction(c)  # bools, int and Fraction subclasses, strings
     return c.numerator, c.denominator
 
 
@@ -298,6 +301,11 @@ class CycloNum:
             else:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
+
+
+def as_cyclo(x) -> CycloNum:
+    """x itself if it is a CycloNum, else CycloNum(x)."""
+    return x if isinstance(x, CycloNum) else CycloNum(x)
 
 
 def inner(xs: Sequence[CycloNum], ys: Sequence[CycloNum],

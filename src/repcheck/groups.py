@@ -8,24 +8,20 @@ Built-ins: K4, Z4, D4, D8 and the 16-element single-qubit Pauli group.
 Canonical element words fix the iteration order; conjugacy-class
 representatives are the lowest-index element of each class, and all
 class-function indexing downstream relies on that ordering.
+
+The only quotients are by centres: ``central_quotient`` maps D4, D8 and
+Pauli1 onto K4, D4 and K4 by one verified, surjective map each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Sequence
 
 
 class GroupError(Exception):
-    pass
-
-
-class NotSubgroup(GroupError):
-    pass
-
-
-class NotNormal(GroupError):
     pass
 
 
@@ -196,49 +192,28 @@ def center(g: GroupTable) -> tuple[int, ...]:
     )
 
 
-def quotient(g: GroupTable, n: Iterable[int]) -> tuple[GroupTable, GroupHom]:
-    """Coset group G/N plus the projection homomorphism.
+@lru_cache(maxsize=None)
+def central_quotient(g: GroupTable, onto: GroupTable) -> GroupHom:
+    """The projection g -> g/Z(g) = onto, verified as a surjective hom.
 
-    Coset representatives are the lowest-index member; their words label
-    the quotient elements.
+    Cosets of the centre are labelled by their lowest-index member; the
+    isomorphism onto `onto` is find_isomorphism's (IsoNotFound if none).
     """
-    sub = sorted(set(n))
-    subset = set(sub)
-    if 0 not in subset:
-        raise NotSubgroup(f"{g.name}: subgroup must contain the identity")
-    for a in sub:
-        for b in sub:
-            if g.mul(a, b) not in subset:
-                raise NotSubgroup(
-                    f"{g.name}: {{{', '.join(g.word(x) for x in sub)}}} is not closed"
-                )
-    for h in g.elements():
-        for a in sub:
-            if g.conj(h, a) not in subset:
-                raise NotNormal(
-                    f"{g.name}: conjugate {g.word(h)}*{g.word(a)}*{g.word(h)}^-1 escapes the subgroup"
-                )
-
-    # a is the lowest member of its coset when first met, so the
-    # representatives come in ascending order, the identity's coset first
+    z = center(g)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for a in g.elements():
         if a not in coset_of:
-            for s in sub:
-                coset_of[g.mul(a, s)] = len(reps)
+            for c in z:
+                coset_of[g.mul(a, c)] = len(reps)
             reps.append(a)
-    image = tuple(coset_of[a] for a in g.elements())
-
-    k = len(reps)
-    mul = [[image[g.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    words = [g.word(r) for r in reps]
-    sub_words = ",".join(g.word(x) for x in sub)
-    q = GroupTable(f"{g.name}/{{{sub_words}}}", mul, words)
-    proj = GroupHom(source=g, target=q, image=image)
-    if not verify_hom(proj):
-        raise GroupError(f"{g.name}: quotient projection is not a homomorphism")
-    return q, proj
+    mul = [[coset_of[g.mul(x, y)] for y in reps] for x in reps]
+    q = GroupTable(f"{g.name}/Z", mul, [g.word(r) for r in reps])
+    iso = find_isomorphism(q, onto)
+    proj = GroupHom(source=g, target=onto, image=tuple(iso(coset_of[a]) for a in g.elements()))
+    if not (verify_hom(proj) and proj.is_surjective()):
+        raise GroupError(f"{g.name} -> {onto.name}: not a surjective homomorphism")
+    return proj
 
 
 def generating_sequence(g: GroupTable) -> list[int]:
@@ -266,7 +241,8 @@ def _closure(g: GroupTable, seeds: Sequence[int]) -> set[int]:
 
 
 def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
-    """Explicit isomorphism a -> b by backtracking over generator images.
+    """Explicit isomorphism a -> b: the first verified bijection found by
+    trying generator images in lexicographic order.
 
     Raises IsoNotFound if none exists.  Intended for the tiny groups here.
     """
@@ -290,31 +266,16 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
     for x in b.elements():
         orders_b.setdefault(b.element_order(x), []).append(x)
 
-    def assign(images: list[int]) -> "GroupHom | None":
+    # generator images in lexicographic order, each of the right element order
+    for images in product(*(orders_b.get(a.element_order(s), []) for s in gens)):
         phi = [0] * a.order
         for x in known[1:]:
             prev, gi = expr[x]
             phi[x] = b.mul(phi[prev], images[gi])
-        if len(set(phi)) != a.order:
-            return None
         h = GroupHom(source=a, target=b, image=tuple(phi))
-        return h if verify_hom(h) else None
-
-    def backtrack(i: int, images: list[int]) -> "GroupHom | None":
-        if i == len(gens):
-            return assign(images)
-        for cand in orders_b.get(a.element_order(gens[i]), []):
-            images.append(cand)
-            found = backtrack(i + 1, images)
-            if found is not None:
-                return found
-            images.pop()
-        return None
-
-    found = backtrack(0, [])
-    if found is None:
-        raise IsoNotFound(f"no isomorphism {a.name} -> {b.name}")
-    return found
+        if len(set(phi)) == a.order and verify_hom(h):
+            return h
+    raise IsoNotFound(f"no isomorphism {a.name} -> {b.name}")
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +343,6 @@ def _pauli_group() -> GroupTable:
     return GroupTable("Pauli1", mul, words)
 
 
-def _klein_four() -> GroupTable:
-    # element index encodes (x, y) bits as x + 2y
-    mul = [[(a ^ b) for b in range(4)] for a in range(4)]
-    return GroupTable("K4", mul, ["e", "a", "b", "ab"])
-
-
 def _cyclic_four() -> GroupTable:
     mul = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     return GroupTable("Z4", mul, ["e", "t", "t2", "t3"])
@@ -397,7 +352,7 @@ def _cyclic_four() -> GroupTable:
 def builtin_group(name: str) -> GroupTable:
     """One of the built-in groups K4, Z4, D4, D8, Pauli1 (cached instance)."""
     if name == "K4":
-        return _klein_four()
+        return _dihedral(2, "K4", "a", "b")  # D2 is the Klein four-group
     if name == "Z4":
         return _cyclic_four()
     if name == "D4":

@@ -17,14 +17,10 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .cyclo import CycloNum, ONE, ZERO, inner
+from .cyclo import CycloNum, ONE, ZERO, as_cyclo, inner
 
 Scalar = Union[CycloNum, int, Fraction]
 Vector = tuple[CycloNum, ...]
-
-
-def _as_cyclo(x: Scalar) -> CycloNum:
-    return x if isinstance(x, CycloNum) else CycloNum(x)
 
 
 class ExactMatrix:
@@ -33,7 +29,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(_as_cyclo(x) for x in row) for row in entries)
+        rows = tuple(tuple(as_cyclo(x) for x in row) for row in entries)
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
@@ -94,7 +90,7 @@ class ExactMatrix:
         return self._map(CycloNum.__sub__, other)
 
     def scale(self, c: Scalar) -> ExactMatrix:
-        return self._map(_as_cyclo(c).__mul__)
+        return self._map(as_cyclo(c).__mul__)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:

@@ -163,6 +163,8 @@ def _bell_operator(settings: tuple[ExactMatrix, ...]) -> ExactMatrix:
 
 def chsh_value(state: PureState, settings: Sequence[ExactMatrix]) -> CycloNum:
     """<psi| A0 x (C0+C1) + A1 x (C0-C1) |psi> / <psi|psi>, exact."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"chsh_value needs a PureState, got {type(state).__name__}")
     if state.dim != 4:
         raise ValueError("CHSH needs a two-qubit state")
     if state.is_zero():
@@ -237,6 +239,8 @@ def teleport(state: PureState) -> ProtocolTrace:
     Each outcome has probability exactly 1/4 and the corrected output is
     proportional to the input with a scalar in Q(zeta_8).
     """
+    if not isinstance(state, PureState):
+        raise TypeError(f"teleport needs a PureState, got {type(state).__name__}")
     if state.dim != 2:
         raise ValueError("teleportation input must be a single qubit")
     if state.is_zero():
@@ -386,6 +390,8 @@ def entanglement_swap(
         corrections = standard_corrections()
     if left is None:
         left = bell_state()
+    if not isinstance(left, PureState):
+        raise TypeError(f"entanglement_swap needs a PureState, got {type(left).__name__}")
     if left.dim != 4:
         raise ValueError("left leg must be a two-qubit state")
     missing = [lbl for lbl in inst.labels if lbl not in corrections]
@@ -399,7 +405,9 @@ def entanglement_swap(
     return _swap_cached(inst, corr_key, left.vector)
 
 
-@lru_cache(maxsize=4096)
+# Hits come from few keys (a seeded swap chain of any length misses twice,
+# verify-all three times); fresh states never repeat.  An entry is ~17 KB.
+@lru_cache(maxsize=16)
 def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> ProtocolTrace:
     factors = _rank_one_factors(inst)
     corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}

@@ -18,9 +18,9 @@ from repcheck.characters import (
     push_to_quotient,
     trivial_character,
 )
-from repcheck.classify import classify_all, d4_quotient_to_k4, family_by_name
+from repcheck.classify import classify_all, family_by_name
 from repcheck.cyclo import CycloNum, I, ONE
-from repcheck.groups import BUILTIN_NAMES, builtin_group, verify_hom
+from repcheck.groups import BUILTIN_NAMES, builtin_group, central_quotient, verify_hom
 from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
 from repcheck.quantum import (
     PureState,
@@ -193,7 +193,7 @@ def test_criterion_8_cocycle_and_group_structure():
     k4 = builtin_group("K4")
     from_matrices = conj_rep_character_from_matrices(k4, pauli_rep_on_k4())
     assert from_matrices == family_by_name("K4_1234").target
-    assert pullback(from_matrices, d4_quotient_to_k4()) == conj_character(
+    assert pullback(from_matrices, central_quotient(D4, k4)) == conj_character(
         T4.by_label("chi5")
     )
     d8 = builtin_group("D8")

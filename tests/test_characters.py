@@ -29,7 +29,7 @@ from repcheck.characters import (
 )
 from repcheck.classify import classify_all, enumerate_witnesses, family_by_name
 from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO
-from repcheck.groups import BUILTIN_NAMES, builtin_group, center, find_isomorphism, quotient
+from repcheck.groups import BUILTIN_NAMES, GroupTable, builtin_group, central_quotient
 
 D4 = builtin_group("D4")
 T4 = char_table(D4)
@@ -191,26 +191,19 @@ def test_pullback_of_k4_regular_lands_on_center_classes():
     # oracle: images of e and r2 are the K4 identity, every other class
     # maps to a non-identity element, so the pullback is (4,0,4,0,0)
     k4 = builtin_group("K4")
-    q, proj = quotient(D4, center(D4))
-    iso = find_isomorphism(q, k4)
-    pulled = pullback(pullback(regular_character(k4), iso), proj)
+    pulled = pullback(regular_character(k4), central_quotient(D4, k4))
     assert pulled == cf(D4, 4, 0, 4, 0, 0)
 
 
 def test_pullback_of_trivial_is_trivial():
     k4 = builtin_group("K4")
-    q, proj = quotient(D4, center(D4))
-    iso = find_isomorphism(q, k4)
-    assert pullback(pullback(trivial_character(k4), iso), proj) == trivial_character(D4)
+    assert pullback(trivial_character(k4), central_quotient(D4, k4)) == trivial_character(D4)
 
 
 def test_pullbacks_of_k4_irreducibles_are_the_linear_d4_characters():
     k4 = builtin_group("K4")
-    q, proj = quotient(D4, center(D4))
-    iso = find_isomorphism(q, k4)
-    pulled = {
-        pullback(pullback(chi, iso), proj) for chi in char_table(k4).irreducibles
-    }
+    proj = central_quotient(D4, k4)
+    pulled = {pullback(chi, proj) for chi in char_table(k4).irreducibles}
     assert pulled == set(T4.irreducibles[:4])
 
 
@@ -348,10 +341,20 @@ def test_corrupted_table_entry_is_caught_at_load(monkeypatch):
         char_table(D4)
 
 
+@pytest.mark.parametrize("call,arg,wanted", [
+    (char_table, "D4", "GroupTable"),
+    (push_to_quotient, "x", "ClassFunction"),
+    (push_to_quotient, (ONE,) * 7, "ClassFunction"),
+])
+def test_a_wrong_type_argument_is_a_type_error(call, arg, wanted):
+    with pytest.raises(TypeError, match=f"needs a {wanted}, got {type(arg).__name__}$"):
+        call(arg)
+
+
 def test_char_table_rejects_unknown_group():
-    q, _ = quotient(D4, center(D4))
+    c2 = GroupTable("C2", [[0, 1], [1, 0]], ["e", "g"])
     with pytest.raises(ValueError):
-        char_table(q)
+        char_table(c2)
 
 
 def _corrupt_chi5(monkeypatch):

@@ -32,7 +32,6 @@ from repcheck.classify import (
     check_z4_abelian,
     classify,
     classify_all,
-    d4_quotient_to_k4,
     enumerate_witnesses,
     family_by_name,
     full_report,
@@ -41,7 +40,7 @@ from repcheck.classify import (
     seven_families,
 )
 from repcheck.cyclo import CycloNum, ONE
-from repcheck.groups import GroupHom, builtin_group, center, verify_hom
+from repcheck.groups import GroupHom, builtin_group, center, central_quotient, verify_hom
 from test_cli import CLASSIFY_JSON_SHA256
 
 D4 = builtin_group("D4")
@@ -125,7 +124,7 @@ def test_parity_check_is_silent_on_the_k4_pullback_target():
 
 
 def test_the_d4_to_k4_map_is_one_verified_surjective_hom():
-    hom = d4_quotient_to_k4()
+    hom = central_quotient(D4, builtin_group("K4"))
     assert isinstance(hom, GroupHom)
     assert (hom.source, hom.target) == (D4, builtin_group("K4"))
     assert verify_hom(hom) and hom.is_surjective()
@@ -141,7 +140,7 @@ def test_k4_target_pulled_to_d4_makes_one_pullback(monkeypatch):
 
     monkeypatch.setattr(classify_module, "pullback", counting)
     pulled = k4_target_pulled_to_d4(family_by_name("K4_1234").target)
-    assert calls == [d4_quotient_to_k4()]
+    assert calls == [central_quotient(D4, builtin_group("K4"))]
     assert pulled == conj_character(T4.by_label("chi5"))
 
 

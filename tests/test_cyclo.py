@@ -217,3 +217,10 @@ def test_a_rational_value_hashes_like_the_int_or_fraction_it_equals(plain):
     assert x in {plain} and plain in {x}
     assert {x: "cyclo"}.get(plain) == "cyclo" and {plain: "plain"}.get(x) == "plain"
     assert len({x, plain}) == 1
+
+
+@pytest.mark.parametrize("args", [(0.1,), (1, 0.5), (0, 0, 0, 2.0)], ids=repr)
+def test_a_binary_float_coefficient_is_refused(args):
+    # 0.1 is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="got float$"):
+        CycloNum(*args)

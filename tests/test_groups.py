@@ -8,13 +8,11 @@ from repcheck.groups import (
     GroupHom,
     GroupTable,
     IsoNotFound,
-    NotNormal,
-    NotSubgroup,
     builtin_group,
     center,
+    central_quotient,
     conjugacy_classes,
     find_isomorphism,
-    quotient,
     verify_hom,
 )
 
@@ -90,46 +88,39 @@ def test_d8_center_by_exhaustive_commutation():
 
 
 def test_quotient_d4_by_center_is_k4():
-    d4 = builtin_group("D4")
-    q, proj = quotient(d4, center(d4))
-    assert q.order == 4
+    d4, k4 = builtin_group("D4"), builtin_group("K4")
+    proj = central_quotient(d4, k4)
+    assert (proj.source, proj.target) == (d4, k4)
     assert verify_hom(proj)
     assert proj.is_surjective()
-    # all non-identity elements square to the identity
-    for a in range(1, 4):
-        assert q.mul(a, a) == 0
-    find_isomorphism(q, builtin_group("K4"))
+    assert tuple(a for a in d4.elements() if proj(a) == 0) == center(d4)
 
 
 def test_quotient_d8_by_center_is_d4():
-    d8 = builtin_group("D8")
-    q, proj = quotient(d8, center(d8))
-    assert q.order == 8
-    assert verify_hom(proj)
-    find_isomorphism(q, builtin_group("D4"))
+    d8, d4 = builtin_group("D8"), builtin_group("D4")
+    proj = central_quotient(d8, d4)
+    assert verify_hom(proj) and proj.is_surjective()
+    assert tuple(a for a in d8.elements() if proj(a) == 0) == center(d8)
+    # the search picks z -> r and h -> s, the lifts the D4 classes are read at
+    w = d8.element_words
+    assert [d4.word(proj(w.index(x))) for x in ("z", "h")] == ["r", "s"]
 
 
 def test_quotient_pauli_by_center_is_k4():
     p1 = builtin_group("Pauli1")
-    q, proj = quotient(p1, center(p1))
-    assert q.order == 4
-    find_isomorphism(q, builtin_group("K4"))
-    assert [q.element_words[i] for i in range(4)] == ["I", "X", "Y", "Z"]
+    proj = central_quotient(p1, builtin_group("K4"))
+    assert verify_hom(proj)
+    # the fibres are the phase classes of I, X, Y, Z (element 4*j + k is i^k sigma_j)
+    fibres = [{proj(4 * j + k) for k in range(4)} for j in range(4)]
+    assert all(len(f) == 1 for f in fibres)
+    assert set().union(*fibres) == {0, 1, 2, 3}
 
 
-def test_quotient_rejects_non_subgroup():
-    d4 = builtin_group("D4")
-    with pytest.raises(NotSubgroup):
-        quotient(d4, [0, 1])  # {e, r} is not closed
-    with pytest.raises(NotSubgroup):
-        quotient(d4, [1, 3])  # missing identity
-
-
-def test_quotient_rejects_non_normal_subgroup():
-    d4 = builtin_group("D4")
-    s = d4.element_words.index("s")
-    with pytest.raises(NotNormal):
-        quotient(d4, [0, s])  # <s> is not normal in D4
+def test_central_quotient_refuses_the_wrong_target():
+    with pytest.raises(IsoNotFound):
+        central_quotient(builtin_group("D4"), builtin_group("Z4"))  # D4/Z is K4
+    with pytest.raises(IsoNotFound):
+        central_quotient(builtin_group("D8"), builtin_group("K4"))  # order mismatch
 
 
 def test_verify_hom_on_relation_respecting_map():
@@ -155,15 +146,23 @@ def test_verify_hom_rejects_relation_breaking_map():
 
 def test_hom_kernel_and_injectivity():
     d4 = builtin_group("D4")
-    q, proj = quotient(d4, center(d4))
+    proj = central_quotient(d4, builtin_group("K4"))
     assert {a for a in d4.elements() if proj.image[a] == 0} == set(center(d4))
     assert len(set(proj.image)) < d4.order
 
 
 def test_find_isomorphism_produces_verified_hom():
-    d8 = builtin_group("D8")
-    q, _ = quotient(d8, center(d8))
-    iso = find_isomorphism(q, builtin_group("D4"))
+    # D4 with its non-identity elements relabelled in reverse: a distinct table
+    d4 = builtin_group("D4")
+    perm = [0] + list(range(d4.order - 1, 0, -1))
+    mul = [[0] * d4.order for _ in d4.elements()]
+    for a in d4.elements():
+        for b in d4.elements():
+            mul[perm[a]][perm[b]] = perm[d4.mul(a, b)]
+    words = [d4.word(perm.index(x)) for x in d4.elements()]
+    relabelled = GroupTable("D4relabelled", mul, words)
+    assert relabelled != d4
+    iso = find_isomorphism(d4, relabelled)
     assert verify_hom(iso)
     assert len(set(iso.image)) == iso.source.order and iso.is_surjective()
 

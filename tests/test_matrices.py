@@ -341,3 +341,12 @@ def test_public_constructor_still_coerces_and_refuses_ragged_rows():
         ExactMatrix(((ONE, ZERO), (ONE,)))
     with pytest.raises(ValueError, match="ragged"):
         ExactMatrix([[ONE], []])
+
+
+def test_a_binary_float_entry_is_refused():
+    with pytest.raises(TypeError, match="got float$"):
+        ExactMatrix([[0.1]])
+    with pytest.raises(TypeError, match="got float$"):
+        ExactMatrix.diag([ONE, 0.5])
+    with pytest.raises(TypeError, match="got float$"):
+        ExactMatrix.identity(2).scale(0.5)

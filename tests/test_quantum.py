@@ -418,6 +418,16 @@ def test_a_state_needs_cyclonum_amplitudes(amps, name):
         PureState(amps)
 
 
+@pytest.mark.parametrize("call", [
+    teleport,
+    lambda v: entanglement_swap(povm_construction()[1], left=v),
+    lambda v: chsh_value(v, tsirelson_settings()),
+], ids=["teleport", "entanglement_swap", "chsh_value"])
+def test_a_bare_amplitude_tuple_is_a_type_error(call):
+    with pytest.raises(TypeError, match="needs a PureState, got tuple$"):
+        call((ONE, ZERO, ZERO, ONE))
+
+
 # sha256 over the repr of every OutcomeRecord field that
 # test_protocol_records_are_pinned produces
 PROTOCOL_RECORDS_SHA256 = "7ff1fc4ff2ca5bf634389cab3b11ec358db28fad730b1084bf935c854f4d7929"
@@ -532,6 +542,18 @@ def test_one_swap_miss_evaluates_chsh_once_per_post_ray(monkeypatch, corrections
     assert len({rec.chsh for rec in trace.outcomes}) <= calls
     entanglement_swap(inst, corrections, left=left)  # a cache hit evaluates nothing
     assert len(seen) == calls
+
+
+def test_the_swap_cache_stays_bounded_on_fresh_states_and_hits_on_a_chain():
+    quantum._swap_cached.cache_clear()
+    _, inst = povm_construction()
+    rng = random.Random(2718)
+    for _ in range(40):  # fresh states never repeat, so every call misses
+        entanglement_swap(inst, left=gaussian_left_state(rng))
+    info = quantum._swap_cached.cache_info()
+    assert info.hits == 0 and info.currsize == info.maxsize < 40
+    iterate_swap_detailed(50, seed=3)
+    assert quantum._swap_cached.cache_info().hits > info.hits
 
 
 @pytest.mark.parametrize("label", ["b0", "a2", "a3"])
