@@ -3,10 +3,13 @@
 Character tables are hard-coded data, verified against the Schur
 orthogonality relations and the degree-sum identity once per distinct table
 content; a changed entry is verified again, so a corrupted entry cannot go
-unnoticed.  Class functions are indexed by the canonical
-conjugacy-class order from the groups module (lowest-index representatives).
-Character inner products and the column-orthogonality sums go through the
-package's one Hermitian inner-product kernel, ``cyclo.inner``.
+unnoticed.  Class functions are indexed by the canonical conjugacy-class
+order from the groups module (lowest-index representatives).  Character
+inner products and the column-orthogonality sums go through the package's
+one Hermitian inner-product kernel, ``cyclo.inner``.  Every multiplicity
+sweep (each sum of a character list within a degree bound, with its
+conjugation character) comes from conj_sweep, one memo per character list
+and degree bound.
 
 The non-trivial projective class of D4 is read on its order-16 cover D8:
 the D8 irreducibles on which the central z^4 acts as -1, whose conjugation
@@ -126,6 +129,8 @@ def combination(chars: Sequence[ClassFunction], ns: Sequence[int]) -> ClassFunct
     """sum ns[i] * chars[i] by repeated addition; ns >= 0, not all zero."""
     total = None
     for i, (n, chi) in enumerate(zip(ns, chars, strict=True)):
+        if not isinstance(chi, ClassFunction):
+            raise TypeError(f"combination needs ClassFunction entries, got {type(chi).__name__}")
         if n < 0:
             raise ValueError(f"multiplicity ns[{i}] = {n} is negative")
         for _ in range(n):
@@ -135,16 +140,23 @@ def combination(chars: Sequence[ClassFunction], ns: Sequence[int]) -> ClassFunct
     return total
 
 
-def multiplicity_vectors(degrees: Sequence[int], max_degree: int) -> list[tuple[int, ...]]:
-    """Every non-zero ns with sum ns[i] * degrees[i] <= max_degree, in the
-    order itertools.product gives.  Each prefix is extended only within the
-    degree budget it leaves, so no out-of-budget vector is ever built."""
-    prefixes = [((), max_degree)]
-    for d in degrees:
-        prefixes = [
-            (ns + (n,), left - n * d) for ns, left in prefixes for n in range(left // d + 1)
-        ]
-    return [ns for ns, left in prefixes if left < max_degree]
+@lru_cache(maxsize=8)
+def conj_sweep(chars: tuple[ClassFunction, ...], max_degree: int) -> tuple[tuple, ...]:
+    """(ns, conj_character(sum ns[i] * chars[i])) for every non-zero ns of
+    degree <= max_degree, in itertools.product order; each sum is one addition
+    onto its prefix's partial sum.  Memoized on the characters (from a
+    verified table, so a changed table is new content) and on the bound."""
+    prefixes = [((), None, max_degree)]
+    for chi in chars:
+        d = chi.dimension()
+        grown = []
+        for ns, total, left in prefixes:
+            grown.append((ns + (0,), total, left))
+            for n in range(1, left // d + 1):
+                total = chi if total is None else total + chi
+                grown.append((ns + (n,), total, left - n * d))
+        prefixes = grown
+    return tuple((ns, conj_character(total)) for ns, total, _ in prefixes if total is not None)
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:
@@ -367,6 +379,8 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
     returned as D8 class functions (use push_to_quotient on their conjugation
     characters to land back on D4).
     """
+    if not isinstance(tag, ProjectiveClassTag):
+        raise TypeError(f"projective_irreps_d4 needs a ProjectiveClassTag, got {type(tag).__name__}")
     if tag is ProjectiveClassTag.TRIVIAL:
         t = char_table(builtin_group("D4"))
         return tuple(zip(t.labels, t.irreducibles))
@@ -374,11 +388,8 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
     t = char_table(d8)
     _, z4 = center(d8)
     central_class = conjugacy_classes(d8).class_of[z4]
-    picked = []
-    for label, chi in zip(t.labels, t.irreducibles):
-        if chi.values[central_class] == -chi.values[0]:
-            picked.append((label, chi))
-    return tuple(picked)
+    return tuple((label, chi) for label, chi in zip(t.labels, t.irreducibles)
+                 if chi.values[central_class] == -chi.values[0])
 
 
 def push_to_quotient(f: ClassFunction) -> ClassFunction:

@@ -14,8 +14,10 @@ family and table content (a warm `classify` answers from a memo keyed on
 both), and a witness-less class that no check covers raises.
 
 What the checks read off the K4, Z4, D4 and D8 character tables (targets,
-witness candidates, table-level sweeps) is built and verified in one memo
-per table content, which every public function reads.
+witness candidates, table-level checks) is built and verified in one memo
+per table content, which every public function reads; its multiplicity
+sweeps come from characters.conj_sweep, one memo per character list and
+degree bound.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .characters import (
     char_table,
     combination,
     conj_character,
+    conj_sweep,
     decompose,
     inner_product,
-    multiplicity_vectors,
     projective_irreps_d4,
     pullback,
     push_to_quotient,
@@ -137,9 +139,7 @@ class _Facts(NamedTuple):
     # group name -> (label, class tag, chi_U, its conjugation character on
     # D4 or Z4); K4 is matched on D4 through the quotient, so shares D4's
     candidates: dict[str, tuple[tuple[str, str, ClassFunction, ClassFunction], ...]]
-    # conjugation character -> the first Z4 multiplicities that give it,
-    # over every multiset of the linear characters with d <= 4
-    z4_sweep: dict[ClassFunction, tuple[int, ...]]
+    t_z4: CharTable
 
 
 def _tables() -> tuple[CharTable, ...]:
@@ -159,16 +159,13 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
     """Build the seven families and the witness candidates, and run every
     table-level check the obstructions rest on, once per table content."""
     k4, z4, d4 = t_k4.group, t_z4.group, t_d4.group
-    reg_k4 = regular_character(k4)
-    if reg_k4 != combination(t_k4.irreducibles, (1, 1, 1, 1)):
-        raise ClassifierInconsistency("K4 regular character != sum of its irreducibles")
-    reg_z4 = regular_character(z4)
-    if reg_z4 != combination(t_z4.irreducibles, (1, 1, 1, 1)):
-        raise ClassifierInconsistency("Z4 regular character != sum of its irreducibles")
+    for t in (t_k4, t_z4):
+        if regular_character(t.group) != combination(t.irreducibles, (1, 1, 1, 1)):
+            raise ClassifierInconsistency(f"{t.group.name} regular character != sum of its irreducibles")
 
     spec = (
-        ("K4_1234", k4, reg_k4),
-        ("Z4_1234", z4, reg_z4),
+        ("K4_1234", k4, regular_character(k4)),
+        ("Z4_1234", z4, regular_character(z4)),
         ("D4_125", d4, combination(t_d4.irreducibles, (1, 1, 0, 0, 1))),
         ("D4_135", d4, combination(t_d4.irreducibles, (1, 0, 1, 0, 1))),
         ("D4_145", d4, combination(t_d4.irreducibles, (1, 0, 0, 1, 1))),
@@ -196,25 +193,22 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
                     for label, chi in zip(t_z4.labels, t_z4.irreducibles))
 
     # m5 = 2e(a+b+c+d), so even, for every chi_U of degree <= 4
-    for ns in multiplicity_vectors(t_d4.degrees(), 4):
+    for ns, cchi in conj_sweep(t_d4.irreducibles, 4):
         *abcd, e = ns
-        m5 = decompose(conj_character(combination(t_d4.irreducibles, ns)), t_d4)[4]
+        m5 = decompose(cchi, t_d4)[4]
         if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
             raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
 
-    z4_sweep: dict[ClassFunction, tuple[int, ...]] = {}
     triv = trivial_character(z4)
-    for ns in multiplicity_vectors(t_z4.degrees(), 4):
-        cchi = conj_character(combination(t_z4.irreducibles, ns))
+    for ns, cchi in conj_sweep(t_z4.irreducibles, 4):
         m1 = inner_product(triv, cchi).as_int()
         if m1 != sum(n * n for n in ns):
             raise ClassifierInconsistency(f"m1 formula fails at multiplicities {ns}")
         if sum(ns) >= 2 and m1 < sum(ns):
             raise ClassifierInconsistency(f"fixed-projector bound m1 >= d fails at {ns}")
-        z4_sweep.setdefault(cchi, ns)
 
     d4_side = tuple(d4_side)
-    return _Facts(tuple(families), t_d4, {"K4": d4_side, "Z4": z4_side, "D4": d4_side}, z4_sweep)
+    return _Facts(tuple(families), t_d4, {"K4": d4_side, "Z4": z4_side, "D4": d4_side}, t_z4)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +277,7 @@ def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
     all multisets of the four linear characters with d <= 4."""
     if f.group != builtin_group("Z4"):
         raise WrongGroup(f"abelian fixed-projector check needs Z4, got {f.group.name}")
-    ns = _facts().z4_sweep.get(f.target)
+    ns = next((ns for ns, c in conj_sweep(_facts().t_z4.irreducibles, 4) if c == f.target), None)
     if ns is not None:
         raise ClassifierInconsistency(
             f"an abelian candidate {ns} matched the target; the obstruction is wrong"

@@ -1,6 +1,8 @@
 """Named runtime verification battery behind the CLI's verify-all command.
 
-Each check re-derives a pinned fact from scratch and reports one line.
+Each check re-derives a pinned fact and reports one line; the two sweeps
+read characters.conj_sweep, one memo per character list and degree bound,
+so a warm run does not redo them (a changed table is new content).
 Everything here is an exact (equality) assertion; a corrupted table, a
 wrong correction or a broken identity flips the corresponding check to
 FAIL rather than passing silently.
@@ -16,11 +18,10 @@ from fractions import Fraction
 from .characters import (
     ProjectiveClassTag,
     char_table,
-    combination,
     conj_character,
+    conj_sweep,
     decompose,
     inner_product,
-    multiplicity_vectors,
     projective_irreps_d4,
     push_to_quotient,
     trivial_character,
@@ -137,9 +138,9 @@ def _check_multiplicity_sweep() -> str:
     t = char_table(d4)
     triv = trivial_character(d4)
     seen_m1 = set()
-    sweep = multiplicity_vectors(t.degrees(), 6)
-    for ns in sweep:
-        m1 = inner_product(triv, conj_character(combination(t.irreducibles, ns)))
+    sweep = conj_sweep(t.irreducibles, 6)
+    for ns, cchi in sweep:
+        m1 = inner_product(triv, cchi)
         expected = sum(n * n for n in ns)
         _require(m1 == CycloNum(expected), ns, m1)
         seen_m1.add(expected)
@@ -190,29 +191,23 @@ def _check_brute_force_oracle() -> str:
     """Independently of the irreducibility shortcut, sweep ALL characters of
     both D4 projective classes up to the degree bound: only irreducibles
     ever hit a family target."""
-    d4 = builtin_group("D4")
-    t4 = char_table(d4)
-    families = seven_families()
+    t4 = char_table(builtin_group("D4"))
     targets_on_d4 = {}
-    for f in families:
+    for f in seven_families():
         if f.group.name == "D4":
             targets_on_d4[f.name] = f.target
         elif f.group.name == "K4":
             targets_on_d4[f.name] = k4_target_pulled_to_d4(f.target)
 
     nontrivial = tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL))
-    sweeps = (
-        ("trivial", t4.irreducibles, conj_character),
-        ("non-trivial", nontrivial, lambda chi: push_to_quotient(conj_character(chi))),
-    )
+    swept = [("trivial", ns, cchi) for ns, cchi in conj_sweep(t4.irreducibles, 4)]
+    swept += [("non-trivial", ns, push_to_quotient(cchi)) for ns, cchi in conj_sweep(nontrivial, 4)]
     matches = []
-    for tag, irreps, conj in sweeps:
-        for ns in multiplicity_vectors([chi.dimension() for chi in irreps], 4):
-            cchi = conj(combination(irreps, ns))
-            for fname, target in targets_on_d4.items():
-                if cchi == target:
-                    _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
-                    matches.append((f"{tag}:{ns}", fname))
+    for tag, ns, cchi in swept:
+        for fname, target in targets_on_d4.items():
+            if cchi == target:
+                _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
+                matches.append((f"{tag}:{ns}", fname))
 
     matched_families = sorted({fname for _, fname in matches})
     _require(matched_families == ["D4_125", "K4_1234"], matched_families)

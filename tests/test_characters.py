@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repcheck import characters
+from repcheck import characters, verify
 from repcheck.characters import (
     ClassFunction,
     GroupMismatch,
@@ -17,9 +17,9 @@ from repcheck.characters import (
     char_table,
     combination,
     conj_character,
+    conj_sweep,
     decompose,
     inner_product,
-    multiplicity_vectors,
     projective_irreps_d4,
     pullback,
     push_to_quotient,
@@ -231,6 +231,13 @@ def test_projective_irreps_nontrivial_class():
     assert e2.values[4] == e2.values[0]
 
 
+@pytest.mark.parametrize("tag", ["trivial", "non-trivial", None, 0])
+def test_projective_irreps_refuse_a_tag_that_is_not_a_projective_class_tag(tag):
+    # "trivial" is classify.TRIVIAL, the value of ProjectiveClassTag.TRIVIAL, not the tag
+    with pytest.raises(TypeError, match=f"got {type(tag).__name__}$"):
+        projective_irreps_d4(tag)
+
+
 def test_push_to_quotient_of_conjugation_characters():
     t8 = char_table(builtin_group("D8"))
     for label in ("chiE1", "chiE3"):
@@ -285,13 +292,33 @@ def test_chi5_multiplicity_of_conjugation_characters_is_even():
     ((2, 2), 4, 5),
 ])
 def test_multiplicity_vectors_match_the_filtered_product(degrees, bound, count):
+    """conj_sweep walks the filtered product in its order, and each entry is
+    the conjugation character of the combination its ns names."""
+    chars = {
+        (1, 1, 1, 1): char_table(builtin_group("Z4")).irreducibles,
+        (1, 1, 1, 1, 2): T4.irreducibles,
+        (2, 2): tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL)),
+    }[degrees]
+    assert tuple(chi.dimension() for chi in chars) == degrees
     ranges = (range(bound // d + 1) for d in degrees)
     expected = [
         ns for ns in itertools.product(*ranges)
         if 0 < sum(n * d for n, d in zip(ns, degrees)) <= bound
     ]
-    assert list(multiplicity_vectors(degrees, bound)) == expected
+    sweep = conj_sweep(chars, bound)
+    assert [ns for ns, _ in sweep] == expected
     assert len(expected) == count
+    for ns, cchi in sweep:
+        assert cchi == conj_character(combination(chars, ns)), ns
+
+
+def test_each_sweep_is_made_once_per_character_list_and_bound():
+    classify_all()
+    assert all(r.ok for r in verify.run_all())
+    misses = conj_sweep.cache_info().misses
+    classify_all()
+    assert all(r.ok for r in verify.run_all())
+    assert conj_sweep.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("ns", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 2), (1, 1, 0, 0, 1), (3, 0, 2, 0, 1)])
@@ -308,6 +335,12 @@ def test_combination_refuses_an_all_zero_or_misaligned_vector():
         combination(T4.irreducibles, (0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         combination(T4.irreducibles, (1, 1))
+
+
+def test_combination_refuses_entries_that_are_not_class_functions():
+    # bare ints would sum to 1*1 + 2*2 = 5, which is no class function
+    with pytest.raises(TypeError, match="got int$"):
+        combination((1, 2), (1, 2))
 
 
 def test_combination_refuses_a_negative_multiplicity():

@@ -290,6 +290,9 @@ def test_verify_all_catches_table_fault_after_warm_caches(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-all")
     assert code == 1
     assert "FAIL character-tables" in out
+    # the two checks that read the memoized sweeps
+    assert "FAIL multiplicity-sweep" in out
+    assert "FAIL brute-force-oracle" in out
 
 
 def test_verify_all_runs_under_optimize_flag():
