@@ -148,6 +148,8 @@ def conj_sweep(chars: tuple[ClassFunction, ...], max_degree: int) -> tuple[tuple
     verified table, so a changed table is new content) and on the bound."""
     prefixes = [((), None, max_degree)]
     for chi in chars:
+        if not isinstance(chi, ClassFunction):
+            raise TypeError(f"conj_sweep needs ClassFunction entries, got {type(chi).__name__}")
         d = chi.dimension()
         grown = []
         for ns, total, left in prefixes:

@@ -12,7 +12,8 @@ accessors (``coeffs``, ``display_coeffs``, ``as_fraction``) still return
 optional ``to_complex`` embedding.
 
 Every Hermitian inner product in the package (character inner products,
-column orthogonality, <v|w>, tr(X^dag Y)) goes through one kernel,
+column orthogonality, <v|w>, tr(X^dag Y)) and every matrix-vector product
+(each entry of M v is <conjugated row|v>) goes through one kernel,
 ``inner``, which sums weighted conj(x) * y on the integer numerators and
 reduces once.
 """
@@ -313,7 +314,8 @@ def inner(xs: Sequence[CycloNum], ys: Sequence[CycloNum],
     """sum_k weights[k] * conj(xs[k]) * ys[k] / divisor, exactly.
 
     The one kernel behind every Hermitian inner product in the package
-    (class functions, vectors, Hilbert-Schmidt).  It adds integer numerators
+    (class functions, vectors, Hilbert-Schmidt) and every matrix-vector
+    product.  It adds integer numerators
     over one running denominator, skips terms with a zero weight or factor,
     and reduces once at the end.  Weights are integers, default all 1; the
     divisor is a positive integer.  Unequal lengths raise ValueError.
@@ -351,13 +353,19 @@ SQRT2 = CycloNum(0, 1, 0, -1)
 INV_SQRT2 = CycloNum(0, Fraction(1, 2), 0, Fraction(-1, 2))
 
 
-def sqrt_of_fraction(q: Fraction) -> "CycloNum | None":
+def sqrt_of_fraction(q: "Fraction | CycloNum") -> "CycloNum | None":
     """Exact square root of a non-negative rational, if it lies in Q(zeta_8).
 
-    Returns r or r*sqrt2 with r rational, else None.  Works on q's numerator
-    and denominator, which are coprime, so their square roots are too.
+    Returns r or r*sqrt2 with r rational, else None; q may be a CycloNum,
+    read in place (None if it is irrational).  Works on q's numerator and
+    denominator, which are coprime, so their square roots are too.
     """
-    n, d = q.numerator, q.denominator
+    if type(q) is CycloNum:
+        if not q.is_rational():
+            return None
+        n, d = q._n[0], q._d
+    else:
+        n, d = q.numerator, q.denominator
     if n < 0:
         return None
     a, b = isqrt(n), isqrt(d)

@@ -1,11 +1,12 @@
 """Dense exact matrices and vectors over Q(zeta_8).
 
 Unitarity, Hermiticity and operator identities are equality tests, never
-tolerance tests.  The protocols need nothing larger than 4x4; products,
-applications and tensor products skip zero operands as they meet them, and
-Hermitian inner products go through ``cyclo.inner``.  ``ray_key`` and
-``_pivot_one`` scale a matrix or a vector so its first non-zero entry is 1,
-one key per ray.  The public constructor coerces entries to CycloNum and
+tolerance tests.  The protocols need nothing larger than 4x4; products and
+tensor products skip zero operands as they meet them.  Hermitian inner
+products go through ``cyclo.inner``, and so does ``apply``: entry i of M v
+is <r_i|v> for r_i the conjugate of row i, summed on integer numerators and
+reduced once.  ``ray_key`` scales a matrix so its first non-zero entry is
+1, one key per ray.  The public constructor coerces entries to CycloNum and
 refuses ragged rows; results built inside the class skip both steps.
 """
 
@@ -26,7 +27,7 @@ Vector = tuple[CycloNum, ...]
 class ExactMatrix:
     """An immutable rows x cols matrix with CycloNum entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_bras")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(as_cyclo(x) for x in row) for row in entries)
@@ -47,6 +48,7 @@ class ExactMatrix:
         self.rows = len(entries)
         self.cols = cols if entries else 0  # as the public constructor: no rows, no columns
         self._hash = None  # computed on first use: most matrices are never hashed
+        self._bras = None  # the conjugated rows, built on the first apply
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -140,12 +142,13 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(out), self.cols * width)
 
     def apply(self, v: Vector) -> Vector:
+        """M v, entry i as <r_i|v> through ``cyclo.inner``, where the bra r_i
+        is row i conjugated once per matrix."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            _total([a * x for a, x in zip(row, v) if not (a.is_zero() or x.is_zero())])
-            for row in self.entries
-        )
+        if self._bras is None:
+            self._bras = tuple(tuple(map(CycloNum.conjugate, row)) for row in self.entries)
+        return tuple(inner(bra, v) for bra in self._bras)
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()
@@ -208,13 +211,6 @@ def proportionality(v: Vector, w: Vector) -> "CycloNum | None":
         return None if any(not x.is_zero() for x in v) else ONE
     c = v[pivot] / w[pivot]
     return c if all(x == c * y for x, y in zip(v, w)) else None
-
-
-def _pivot_one(v: Vector) -> Vector:
-    """v scaled so its first non-zero entry is 1, a key for its ray; a zero
-    v stays zero."""
-    inv = next((a for a in v if not a.is_zero()), ONE).inverse()
-    return tuple(a * inv for a in v)
 
 
 def ray_key(m: ExactMatrix) -> ExactMatrix:

@@ -10,15 +10,20 @@ matrices instead of character tables.
 States are vectors over Q(zeta_8); probabilities are exact rationals.
 Qubit 0 is the leftmost tensor factor throughout.
 
-Both protocols make one pair measurement, ``_measure_pair``: a bra <w| on
-the qubit pair just before the last qubit, which is then corrected.  So the
-swap takes rank-one Kraus operators |u><w| only, factored once per
-instrument; any other rank raises IncompleteInstrument.  It evaluates CHSH
-once per distinct post-state ray, which is exact because CHSH is invariant
-under a non-zero scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
+Both protocols make one pair measurement: a bra <w| on the last qubit of
+the input and the first qubit of Phi, which is one 2x2 operator B from the
+input's last qubit to Phi's last (``_pair_operator``); the result is then
+corrected.  Teleport applies B to the qubit, the swap to each half of the
+left pair, and neither builds input x Phi.  So the swap takes rank-one
+Kraus operators |u><w| only; any other rank raises IncompleteInstrument.
+Its plan, built once per instrument and corrections, holds each outcome's
+B, <u|u>, correction C and CHSH class: outcomes whose C B lie on one ray
+have proportional post states for every left state, so CHSH is evaluated
+once per class.  That is exact because CHSH is invariant under a non-zero
+scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
 
-The fixed operators (Paulis, phase gate, Bell basis, corrections) are built
-once at import.  The POVM and its instrument are built and checked once per
+The fixed operators (Paulis, phase gate, Bell basis and its pair
+operators, corrections) are built once at import.  The POVM and its instrument are built and checked once per
 distinct Bell basis and phase gate; ``povm_construction`` returns a new list
 of the shared effects on every call, together with the one shared
 Instrument.
@@ -42,12 +47,10 @@ from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find
 from .matrices import (
     ExactMatrix,
     Vector,
-    _pivot_one,
     outer,
     proportionality,
     ray_key,
     vec_inner,
-    vec_tensor,
 )
 
 
@@ -201,36 +204,15 @@ class ProtocolTrace:
         raise KeyError(label)
 
 
-def _probability(pair: Vector, scale: CycloNum) -> Fraction:
-    """<pair|pair> * scale, where scale is 1/<full|full>, times <u|u> for a
-    swap outcome |u><w| (its branch is u x pair).  The squared norms may lie
-    in Q(sqrt2); only the probability is rational."""
-    return (vec_inner(pair, pair) * scale).as_fraction()
+def _pair_operator(w: Vector) -> ExactMatrix:
+    """The 2x2 operator B with (<w| x 1)(q x Phi) = B q for a qubit q, <w|
+    on (q, Phi's first qubit): B[t][b] = sum_j conj(w[2b + j]) Phi[2j + t]."""
+    phi = _PHI.vector
+    return ExactMatrix([[vec_inner(w[2 * b:2 * b + 2], phi[t::2]) for b in range(2)]
+                        for t in range(2)])
 
 
-def _normalized_if_possible(v: Vector) -> Vector:
-    """v scaled to unit norm when its squared norm is a rational whose
-    square root lies in Q(zeta_8); otherwise v unchanged."""
-    ns = vec_inner(v, v)
-    if ns.is_zero() or not ns.is_rational():
-        return v
-    root = sqrt_of_fraction(ns.as_fraction())
-    if root is None:
-        return v
-    inv = root.inverse()
-    return tuple(inv * a for a in v)
-
-
-def _measure_pair(full: Vector, w: Vector) -> Vector:
-    """<w| applied to the qubit pair just before the last qubit.
-
-    full[8x + 2j + t] pairs with w[j]; the result is indexed 2x + t.  On
-    three qubits that pair is qubits 0-1 (x is 0), on four it is qubits 1-2.
-    """
-    return tuple(
-        vec_inner(w, full[8 * x + t:8 * x + 8:2])
-        for x in range(len(full) // 8) for t in range(2)
-    )
+_BELL_PAIR_OPERATORS = tuple(_pair_operator(bk.vector) for bk in _BELL_BASIS)
 
 
 def teleport(state: PureState) -> ProtocolTrace:
@@ -245,12 +227,11 @@ def teleport(state: PureState) -> ProtocolTrace:
         raise ValueError("teleportation input must be a single qubit")
     if state.is_zero():
         raise ZeroState("cannot teleport the zero vector")
-    full = vec_tensor(state.vector, _PHI.vector)
     inv_total = vec_inner(state.vector, state.vector).inverse()
     records = []
-    for k, bk in enumerate(bell_basis()):
-        cond = _measure_pair(full, bk.vector)
-        prob = _probability(cond, inv_total)
+    for k, pair_op in enumerate(_BELL_PAIR_OPERATORS):
+        cond = pair_op.apply(state.vector)
+        prob = (vec_inner(cond, cond) * inv_total).as_fraction()
         post = PureState(pauli(k).apply(cond))
         records.append(
             OutcomeRecord(
@@ -353,28 +334,6 @@ def standard_corrections() -> dict[str, tuple[str, ExactMatrix]]:
     return dict(_STANDARD_CORRECTIONS)
 
 
-@lru_cache(maxsize=8)
-def _rank_one_factors(inst: Instrument) -> tuple[tuple[Vector, Vector], ...]:
-    """(u, w) with M = |u><w| for each Kraus operator M of a complete inst:
-    u is the column of M's first non-zero entry (row-major) divided by that
-    entry, w the conjugate of its row.  A zero M gives zero u and w."""
-    if not inst.is_complete():
-        raise IncompleteInstrument("sum of M^dag M is not the identity")
-    factors = []
-    for label, m in zip(inst.labels, inst.kraus):
-        if (m.rows, m.cols) != (4, 4):
-            raise ValueError(f"Kraus operator {label} is {m.rows}x{m.cols}, not 4x4")
-        cells = [(r, c) for r in range(4) for c in range(4) if not m[r, c].is_zero()]
-        r, c = cells[0] if cells else (0, 0)
-        inv = m[r, c].inverse() if cells else ZERO
-        u = tuple(m[i, c] * inv for i in range(4))
-        w = tuple(x.conjugate() for x in m.entries[r])
-        if outer(u, w) != m:
-            raise IncompleteInstrument(f"Kraus operator {label} is not rank one")
-        factors.append((u, w))
-    return tuple(factors)
-
-
 def entanglement_swap(
     inst: Instrument,
     corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]] = None,
@@ -386,6 +345,8 @@ def entanglement_swap(
     For each outcome: exact probability, conditional (A,C) state, the
     correction applied on C, and the post-correction CHSH value.
     """
+    if not isinstance(inst, Instrument):
+        raise TypeError(f"entanglement_swap needs an Instrument, got {type(inst).__name__}")
     if corrections is None:
         corrections = standard_corrections()
     if left is None:
@@ -398,6 +359,13 @@ def entanglement_swap(
     if missing:
         raise ValueError(f"corrections lack outcome labels {missing}; "
                          f"the instrument's labels are {list(inst.labels)}")
+    for lbl in inst.labels:
+        corr = corrections[lbl][1]
+        if not isinstance(corr, ExactMatrix):
+            raise TypeError(f"the correction of outcome {lbl} must be an ExactMatrix, "
+                            f"got {type(corr).__name__}")
+        if (corr.rows, corr.cols) != (2, 2):
+            raise ValueError(f"the correction of outcome {lbl} is {corr.rows}x{corr.cols}, not 2x2")
     corr_key = tuple(
         sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
                key=lambda item: item[0])
@@ -405,34 +373,72 @@ def entanglement_swap(
     return _swap_cached(inst, corr_key, left.vector)
 
 
+@lru_cache(maxsize=8)
+def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
+    """(label, B, <u|u>, correction label, correction C, CHSH class) for
+    each Kraus operator M = |u><w| of a complete inst, B the pair operator
+    of w.  u is the column of M's first non-zero entry (row-major) divided
+    by that entry, w the conjugate of its row; a zero M gives zero u and w.
+    Outcomes share a class when their C B lie on one ray; every zero C B
+    shares one class, whose post states chsh_value refuses."""
+    if not inst.is_complete():
+        raise IncompleteInstrument("sum of M^dag M is not the identity")
+    corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}
+    classes: dict[Optional[ExactMatrix], int] = {}
+    plan = []
+    for label, m in zip(inst.labels, inst.kraus):
+        if (m.rows, m.cols) != (4, 4):
+            raise ValueError(f"Kraus operator {label} is {m.rows}x{m.cols}, not 4x4")
+        cells = [(r, c) for r in range(4) for c in range(4) if not m[r, c].is_zero()]
+        r, c = cells[0] if cells else (0, 0)
+        inv = m[r, c].inverse() if cells else ZERO
+        u = tuple(m[i, c] * inv for i in range(4))
+        w = tuple(x.conjugate() for x in m.entries[r])
+        if outer(u, w) != m:
+            raise IncompleteInstrument(f"Kraus operator {label} is not rank one")
+        pair_op = _pair_operator(w)
+        corr_label, corr = corrections[label]
+        try:
+            ray = ray_key(corr @ pair_op)
+        except ValueError:  # C B is zero
+            ray = None
+        cls = classes.setdefault(ray, len(classes))
+        plan.append((label, pair_op, vec_inner(u, u), corr_label, corr, cls))
+    return tuple(plan)
+
+
 # Hits come from few keys (a seeded swap chain of any length misses twice,
 # verify-all three times); fresh states never repeat.  An entry is ~17 KB.
 @lru_cache(maxsize=16)
 def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> ProtocolTrace:
-    factors = _rank_one_factors(inst)
-    corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}
-    full = vec_tensor(left_vector, _PHI.vector)
-    inv_total = vec_inner(full, full).inverse()
+    low, high = left_vector[:2], left_vector[2:]
+    inv_total = vec_inner(left_vector, left_vector).inverse()  # <Phi|Phi> is 1
     settings = tsirelson_settings()
-    chsh_by_ray: dict[Vector, CycloNum] = {}
+    chsh_of_class: dict[int, CycloNum] = {}
 
     records = []
-    for label, (u, w) in zip(inst.labels, factors):
-        pair = _measure_pair(full, w)
-        prob = _probability(pair, vec_inner(u, u) * inv_total)
+    for label, pair_op, uu, corr_label, corr, cls in _swap_plan(inst, corr_key):
+        pair = pair_op.apply(low) + pair_op.apply(high)
+        pp = vec_inner(pair, pair)
+        # the branch is u x pair; <u|u> and <pair|pair> may lie in Q(sqrt2),
+        # only the probability is rational
+        prob = (pp * uu * inv_total).as_fraction()
         if prob == 0:
             records.append(OutcomeRecord(label, prob, PureState((ZERO,) * 4),
-                                         corrections[label][0], PureState((ZERO,) * 4), None))
+                                         corr_label, PureState((ZERO,) * 4), None))
             continue
-        # first non-zero entry 1, so chained rounds reuse a few cache keys
-        cond = _normalized_if_possible(_pivot_one(pair))
-        corr_label, corr = corrections[label]
+        # one scalar makes the first non-zero entry 1, so chained rounds reuse
+        # a few cache keys, then the norm 1 where its root lies in Q(zeta_8)
+        scale = next(a for a in pair if not a.is_zero()).inverse()
+        root = sqrt_of_fraction(pp * scale.abs_sq())
+        if root is not None:
+            scale = scale * root.inverse()
+        cond = tuple(scale * a for a in pair)
         post = PureState(corr.apply(cond[:2]) + corr.apply(cond[2:]))
-        # a zero post has no ray and reaches chsh_value, which refuses it
-        ray = _pivot_one(post.vector)
-        chsh = chsh_by_ray.get(ray)
+        # a zero post reaches chsh_value, which refuses it
+        chsh = chsh_of_class.get(cls)
         if chsh is None:
-            chsh = chsh_by_ray[ray] = chsh_value(post, settings)
+            chsh = chsh_of_class[cls] = chsh_value(post, settings)
         records.append(OutcomeRecord(label, prob, PureState(cond), corr_label, post, chsh))
     return ProtocolTrace(tuple(records))
 
@@ -457,6 +463,8 @@ def iterate_swap_detailed(
         raise ValueError(f"outcome_path supplies {len(outcome_path)} outcomes for {rounds} rounds")
     if inst is None:
         _, inst = povm_construction()
+    elif not isinstance(inst, Instrument):
+        raise TypeError(f"iterate_swap_detailed needs an Instrument, got {type(inst).__name__}")
     if outcome_path is not None:
         unknown = dict.fromkeys(lbl for lbl in outcome_path[:rounds] if lbl not in inst.labels)
         if unknown:

@@ -343,6 +343,15 @@ def test_combination_refuses_entries_that_are_not_class_functions():
         combination((1, 2), (1, 2))
 
 
+@pytest.mark.parametrize("chars,name", [
+    ((1, 2), "int"),
+    ((T4.irreducibles[0], "chi2"), "str"),
+])
+def test_conj_sweep_refuses_entries_that_are_not_class_functions(chars, name):
+    with pytest.raises(TypeError, match=f"needs ClassFunction entries, got {name}$"):
+        conj_sweep(chars, 4)
+
+
 def test_combination_refuses_a_negative_multiplicity():
     # range(-1) is empty, so without the check this would equal chi1
     with pytest.raises(ValueError, match=r"ns\[1\] = -1 is negative"):

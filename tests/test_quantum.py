@@ -13,7 +13,7 @@ from repcheck.characters import char_table, conj_character
 from repcheck.cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO
 from repcheck.groups import builtin_group, verify_hom
 from repcheck import quantum
-from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
+from repcheck.matrices import ExactMatrix, hs_inner, vec_inner, vec_tensor
 from repcheck.quantum import (
     IncompleteInstrument,
     Instrument,
@@ -396,6 +396,42 @@ def test_swap_names_the_outcome_labels_its_corrections_lack():
         entanglement_swap(broken, corrections={"b0": ("I", pauli(0))})
 
 
+@pytest.mark.parametrize("call", [
+    entanglement_swap,
+    lambda inst: iterate_swap_detailed(1, inst=inst),
+    lambda inst: iterate_swap_detailed(1, outcome_path=["b0"], inst=inst),
+], ids=["entanglement_swap", "iterate_swap_detailed", "iterate_swap_detailed-path"])
+def test_the_swap_refuses_an_instrument_that_is_not_one(call):
+    with pytest.raises(TypeError, match="needs an Instrument, got tuple$"):
+        call((1, 2))
+
+
+@pytest.mark.parametrize("label,corr,error,shape", [
+    ("a2", [[1, 0], [0, 1]], TypeError, "must be an ExactMatrix, got list"),
+    ("b1", ExactMatrix.identity(4), ValueError, "is 4x4, not 2x2"),
+    ("b3", ExactMatrix([[1, 0]]), ValueError, "is 1x2, not 2x2"),
+], ids=["list", "4x4", "1x2"])
+def test_the_swap_refuses_a_correction_that_is_not_a_2x2_matrix(label, corr, error, shape):
+    corrections = standard_corrections()
+    corrections[label] = ("bad", corr)
+    message = re.escape(f"the correction of outcome {label} {shape}")
+    _, inst = povm_construction()
+    with pytest.raises(error, match=message):
+        entanglement_swap(inst, corrections)
+    # the chain follows b0 only, and is refused all the same
+    with pytest.raises(error, match=message):
+        iterate_swap_detailed(1, outcome_path=["b0"], corrections=corrections)
+
+
+def test_the_correction_of_a_zero_probability_outcome_is_checked_too():
+    _, inst = povm_construction()
+    padded = Instrument(labels=inst.labels + ("z",),
+                        kraus=inst.kraus + (ExactMatrix.zeros(4, 4),))
+    corrections = dict(standard_corrections(), z=("I", ExactMatrix.identity(3)))
+    with pytest.raises(ValueError, match="the correction of outcome z is 3x3, not 2x2"):
+        entanglement_swap(padded, corrections=corrections)
+
+
 @pytest.mark.parametrize("rounds,path,unknown", [
     (1, ["zz"], "['zz']"),
     (2, ["b0", "zz"], "['zz']"),
@@ -554,6 +590,63 @@ def test_the_swap_cache_stays_bounded_on_fresh_states_and_hits_on_a_chain():
     assert info.hits == 0 and info.currsize == info.maxsize < 40
     iterate_swap_detailed(50, seed=3)
     assert quantum._swap_cached.cache_info().hits > info.hits
+
+
+def general_state(rng, dim):
+    """A non-zero state whose amplitudes use all four zeta powers."""
+    while True:
+        amps = tuple(
+            CycloNum(*(Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(4)))
+            for _ in range(dim)
+        )
+        if any(not a.is_zero() for a in amps):
+            return PureState(amps)
+
+
+def dense_pair_measurement(v, w):
+    """The reference: <w| contracted with v x Phi built densely, on the last
+    qubit of v and the first of Phi; entry 2x + t pairs full[8x + 2j + t]
+    with w[j]."""
+    full = vec_tensor(v, bell_state().vector)
+    return tuple(
+        sum((w[j].conjugate() * full[8 * x + 2 * j + t] for j in range(4)), ZERO)
+        for x in range(len(full) // 8) for t in range(2)
+    )
+
+
+def test_pair_operators_match_the_dense_pair_measurement():
+    _, inst = povm_construction()
+    corr_key = tuple(sorted(
+        ((lbl, cl, m) for lbl, (cl, m) in standard_corrections().items()),
+        key=lambda item: item[0]))
+    plan = quantum._swap_plan(inst, corr_key)
+    bras = []
+    for m, (label, pair_op, *_) in zip(inst.kraus, plan):
+        row = next(r for r in m.entries if any(not x.is_zero() for x in r))
+        bras.append((tuple(x.conjugate() for x in row), pair_op))  # M = |u><w|
+    bras += [(bk.vector, op) for bk, op in zip(bell_basis(), quantum._BELL_PAIR_OPERATORS)]
+    assert len(bras) == 12
+    rng = random.Random(4242)
+    qubits = [general_state(rng, 2) for _ in range(6)] + [general_qubit()]
+    pairs = [general_state(rng, 4) for _ in range(6)]
+    assert any(not vec_inner(s.vector, s.vector).is_rational() for s in qubits + pairs)
+    for w, pair_op in bras:
+        for q in qubits:
+            assert pair_op.apply(q.vector) == dense_pair_measurement(q.vector, w)
+        for left in pairs:
+            v = left.vector
+            assert pair_op.apply(v[:2]) + pair_op.apply(v[2:]) == dense_pair_measurement(v, w)
+
+
+def test_the_swap_plan_is_built_once_for_fresh_states():
+    quantum._swap_plan.cache_clear()
+    quantum._swap_cached.cache_clear()
+    _, inst = povm_construction()
+    rng = random.Random(4243)
+    for _ in range(40):
+        entanglement_swap(inst, left=general_state(rng, 4))
+    assert quantum._swap_plan.cache_info().misses == 1
+    assert quantum._swap_cached.cache_info().misses == 40
 
 
 @pytest.mark.parametrize("label", ["b0", "a2", "a3"])
