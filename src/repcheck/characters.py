@@ -44,10 +44,6 @@ class NotACharacter(Exception):
     pass
 
 
-class NotClassConstant(Exception):
-    pass
-
-
 class NotDescendable(Exception):
     pass
 
@@ -96,6 +92,8 @@ class ClassFunction:
         return self.values[0].as_int()
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
         if other.group != self.group:
             raise GroupMismatch(f"{self.group.name} vs {other.group.name}")
         return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
@@ -199,13 +197,6 @@ def conj_character(u: ClassFunction) -> ClassFunction:
     return ClassFunction(u.group, tuple(v.abs_sq() for v in u.values))
 
 
-def tensor(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    """Pointwise product (character of the tensor product representation)."""
-    if a.group != b.group:
-        raise GroupMismatch(f"{a.group.name} vs {b.group.name}")
-    return ClassFunction(a.group, tuple(x * y for x, y in zip(a.values, b.values)))
-
-
 def pullback(f: ClassFunction, proj: GroupHom) -> ClassFunction:
     """Compose f with a surjective homomorphism: g -> f(proj(g))."""
     if f.group != proj.target:
@@ -214,16 +205,10 @@ def pullback(f: ClassFunction, proj: GroupHom) -> ClassFunction:
         raise ValueError("pullback requires a verified homomorphism")
     if not proj.is_surjective():
         raise ValueError("pullback requires a surjective homomorphism")
-    cc_src = conjugacy_classes(proj.source)
-    values = []
-    for cl in cc_src.classes:
-        member_values = {f.at_element(proj(x)) for x in cl}
-        if len(member_values) != 1:
-            raise NotClassConstant(
-                f"pulled-back function is not constant on the class of {proj.source.word(cl[0])}"
-            )
-        values.append(member_values.pop())
-    return ClassFunction(proj.source, tuple(values))
+    # a verified hom maps conjugates to conjugates, on which f is constant,
+    # so one representative per class reads the whole class
+    reps = conjugacy_classes(proj.source).representatives
+    return ClassFunction(proj.source, tuple(f.at_element(proj(r)) for r in reps))
 
 
 # ----------------------------------------------------------------------

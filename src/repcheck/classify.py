@@ -40,7 +40,6 @@ from .characters import (
     projective_irreps_d4,
     pullback,
     push_to_quotient,
-    regular_character,
     trivial_character,
 )
 from .cyclo import ONE, ZERO
@@ -67,17 +66,20 @@ class ObstructionKind(Enum):
 TRIVIAL = ProjectiveClassTag.TRIVIAL.value
 NONTRIVIAL = ProjectiveClassTag.NONTRIVIAL.value
 
-FAMILY_NAMES = (
-    "K4_1234",
-    "Z4_1234",
-    "D4_125",
-    "D4_135",
-    "D4_145",
-    "D4_12345",
-    "D4_123452",
+# each family once: name (its group's name, then the irreducibles in it),
+# multiplicities over that group's irreducibles in table order, and the
+# dimension that _facts_of checks the target against
+_FAMILIES = (
+    ("K4_1234", (1, 1, 1, 1), 4),
+    ("Z4_1234", (1, 1, 1, 1), 4),
+    ("D4_125", (1, 1, 0, 0, 1), 4),
+    ("D4_135", (1, 0, 1, 0, 1), 4),
+    ("D4_145", (1, 0, 0, 1, 1), 4),
+    ("D4_12345", (1, 1, 1, 1, 1), 6),
+    ("D4_123452", (1, 1, 1, 1, 2), 8),
 )
 
-_EXPECTED_DIMENSIONS = dict(zip(FAMILY_NAMES, (4, 4, 4, 4, 4, 6, 8)))
+FAMILY_NAMES = tuple(name for name, _, _ in _FAMILIES)
 
 # the reflection classes of D4, at representatives (e, r, r2, s, rs)
 _S_CLASS, _RS_CLASS = 3, 4
@@ -92,10 +94,23 @@ class ObstructionRecord:
 
 @dataclass(frozen=True)
 class Family:
+    """A named target conjugation character; its group and dimension are
+    the target's own."""
+
     name: str
-    group: GroupTable
     target: ClassFunction
-    dimension: int
+
+    def __post_init__(self):
+        if not isinstance(self.target, ClassFunction):
+            raise TypeError(f"a Family target must be a ClassFunction, got {type(self.target).__name__}")
+
+    @property
+    def group(self) -> GroupTable:
+        return self.target.group
+
+    @property
+    def dimension(self) -> int:
+        return self.target.dimension()
 
     def candidate_classes(self) -> tuple[str, ...]:
         if self.group.name == "Z4":
@@ -158,28 +173,18 @@ def _facts() -> _Facts:
 def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable) -> _Facts:
     """Build the seven families and the witness candidates, and run every
     table-level check the obstructions rest on, once per table content."""
-    k4, z4, d4 = t_k4.group, t_z4.group, t_d4.group
-    for t in (t_k4, t_z4):
-        if regular_character(t.group) != combination(t.irreducibles, (1, 1, 1, 1)):
-            raise ClassifierInconsistency(f"{t.group.name} regular character != sum of its irreducibles")
-
-    spec = (
-        ("K4_1234", k4, regular_character(k4)),
-        ("Z4_1234", z4, regular_character(z4)),
-        ("D4_125", d4, combination(t_d4.irreducibles, (1, 1, 0, 0, 1))),
-        ("D4_135", d4, combination(t_d4.irreducibles, (1, 0, 1, 0, 1))),
-        ("D4_145", d4, combination(t_d4.irreducibles, (1, 0, 0, 1, 1))),
-        ("D4_12345", d4, combination(t_d4.irreducibles, (1, 1, 1, 1, 1))),
-        ("D4_123452", d4, combination(t_d4.irreducibles, (1, 1, 1, 1, 2))),
-    )
+    # The K4 and Z4 targets sum their irreducibles, all of degree 1: that is
+    # the regular character, by _verify_table's column orthogonality at the
+    # identity column.
+    tables = {"K4": t_k4, "Z4": t_z4, "D4": t_d4}
     families = []
-    for name, g, target in spec:
-        dim = target.dimension()
-        if dim != _EXPECTED_DIMENSIONS[name]:
-            raise ClassifierInconsistency(f"{name}: dimension {dim} != {_EXPECTED_DIMENSIONS[name]}")
-        if inner_product(trivial_character(g), target) != ONE:
+    for name, ns, expected in _FAMILIES:
+        f = Family(name, combination(tables[name[:2]].irreducibles, ns))
+        if f.dimension != expected:
+            raise ClassifierInconsistency(f"{name}: dimension {f.dimension} != {expected}")
+        if inner_product(trivial_character(f.group), f.target) != ONE:
             raise ClassifierInconsistency(f"{name}: trivial character multiplicity != 1")
-        families.append(Family(name=name, group=g, target=target, dimension=dim))
+        families.append(f)
 
     # projective_irreps_d4 reads the D4 and D8 tables this entry is keyed on
     d4_side = [(label, TRIVIAL, chi, conj_character(chi))
@@ -199,7 +204,7 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
         if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
             raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
 
-    triv = trivial_character(z4)
+    triv = trivial_character(t_z4.group)
     for ns, cchi in conj_sweep(t_z4.irreducibles, 4):
         m1 = inner_product(triv, cchi).as_int()
         if m1 != sum(n * n for n in ns):
@@ -349,8 +354,9 @@ _CHECKS = {
 
 
 def classify(f: Family) -> Verdict:
-    """The verdict on f: the obstruction battery and the witness enumeration,
-    cross-checked once per family and table content."""
+    """The verdict on f: the obstruction battery and the witness enumeration
+    on f's target (which fixes f's group and dimension), cross-checked once
+    per family and table content."""
     if not isinstance(f, Family):
         raise TypeError(f"classify needs a Family, got {type(f).__name__}")
     return _verdict(f, *_tables())

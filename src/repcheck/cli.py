@@ -54,7 +54,7 @@ def _cyclo_json(x: CycloNum) -> dict:
 
 
 def _dump(payload: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")

@@ -89,15 +89,6 @@ class CycloNum:
         d = self._d
         return tuple(Fraction(n, d) for n in self._n)
 
-    @classmethod
-    def zeta(cls, power: int = 1) -> CycloNum:
-        """z**power, reduced by z^4 = -1."""
-        k = power % 8
-        sign = 1 if k < 4 else -1
-        coeffs = [0, 0, 0, 0]
-        coeffs[k % 4] = sign
-        return cls(*coeffs)
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -158,19 +149,6 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def galois(self, k: int) -> CycloNum:
-        """Apply the automorphism z -> z**k (k odd)."""
-        if k % 2 == 0:
-            raise ValueError(f"z -> z^{k} is not a field automorphism")
-        m = k % 8
-        if m == 1:
-            return self
-        if m == 7:
-            return self.conjugate()
-        n0, n1, n2, n3 = self._n
-        n = (n0, n3, -n2, n1) if m == 3 else (n0, -n1, n2, -n3)
-        return _raw(n, self._d)
-
     def conjugate(self) -> CycloNum:
         """Complex conjugation, z -> z^7 = -z^3."""
         n0, n1, n2, n3 = self._n
@@ -179,8 +157,9 @@ class CycloNum:
     def inverse(self) -> CycloNum:
         """Exact multiplicative inverse via the field norm.
 
-        For x = a/d with a integral, a * galois(a, 5) = p + q*i lies in
-        Q(i), so 1/a = galois(a, 5) * (p - q*i) / (p^2 + q^2).
+        For x = a/d with a integral, let a' be a under z -> -z (= z^5, the
+        automorphism that fixes i).  Then a * a' = p + q*i lies in Q(i), so
+        1/a = a' * (p - q*i) / (p^2 + q^2).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
@@ -203,18 +182,6 @@ class CycloNum:
         if p is None:
             return NotImplemented
         return _raw(*p) * self.inverse()
-
-    def __pow__(self, n: int) -> CycloNum:
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def abs_sq(self) -> CycloNum:
         """|x|^2 = conj(x) * x."""
@@ -364,8 +331,11 @@ def sqrt_of_fraction(q: "Fraction | CycloNum") -> "CycloNum | None":
         if not q.is_rational():
             return None
         n, d = q._n[0], q._d
-    else:
+    elif isinstance(q, (int, Fraction)):
         n, d = q.numerator, q.denominator
+    else:
+        # floats too: as in CycloNum, a binary float is not the decimal it was typed as
+        raise TypeError(f"sqrt_of_fraction needs a Fraction or CycloNum, got {type(q).__name__}")
     if n < 0:
         return None
     a, b = isqrt(n), isqrt(d)

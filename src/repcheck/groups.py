@@ -43,7 +43,9 @@ class GroupTable:
         if len(self.element_words) != self.order:
             raise GroupError(f"{name}: {len(self.element_words)} words for order {self.order}")
         self._verify()
-        self.inv_table = tuple(self._find_inverse(a) for a in range(self.order))
+        # a verified table has one 0 in row a, at a's inverse, which in a
+        # group is two-sided
+        self.inv_table = tuple(row.index(0) for row in self.mul_table)
         # once: the table is immutable, and every cache keyed on a group hashes it
         self._hash = hash((self.mul_table, self.element_words))
 
@@ -66,12 +68,6 @@ class GroupTable:
                 for c in range(n):
                     if self.mul_table[ab][c] != self.mul_table[a][self.mul_table[b][c]]:
                         raise GroupError(f"{self.name}: associativity fails at ({a},{b},{c})")
-
-    def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.mul_table[a][b] == 0 and self.mul_table[b][a] == 0:
-                return b
-        raise GroupError(f"{self.name}: element {a} has no two-sided inverse")
 
     # ------------------------------------------------------------------
 
@@ -216,7 +212,7 @@ def central_quotient(g: GroupTable, onto: GroupTable) -> GroupHom:
     return proj
 
 
-def generating_sequence(g: GroupTable) -> list[int]:
+def _generating_sequence(g: GroupTable) -> list[int]:
     """A small generating sequence found greedily by lowest index."""
     gens: list[int] = []
     generated = {0}
@@ -248,7 +244,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
     """
     if a.order != b.order:
         raise IsoNotFound(f"|{a.name}| = {a.order} != {b.order} = |{b.name}|")
-    gens = generating_sequence(a)
+    gens = _generating_sequence(a)
     # express every element of a as (previous element) * generator
     expr: dict[int, tuple[int, int]] = {}
     known = [0]

@@ -84,10 +84,14 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(tuple(map(f, *rs)) for rs in rows), self.cols)
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check_shape(other)
         return self._map(CycloNum.__add__, other)
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check_shape(other)
         return self._map(CycloNum.__sub__, other)
 
@@ -95,6 +99,8 @@ class ExactMatrix:
         return self._map(as_cyclo(c).__mul__)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = []
@@ -181,15 +187,6 @@ def hs_inner(x: ExactMatrix, y: ExactMatrix) -> CycloNum:
 
 def _flat(m: ExactMatrix) -> Vector:
     return tuple(chain.from_iterable(m.entries))
-
-
-def vec_inner(v: Vector, w: Vector) -> CycloNum:
-    """<v|w>, conjugate-linear in the first argument."""
-    return inner(v, w)
-
-
-def vec_tensor(v: Vector, w: Vector) -> Vector:
-    return tuple(ZERO if a.is_zero() or b.is_zero() else a * b for a in v for b in w)
 
 
 def outer(v: Vector, w: Vector) -> ExactMatrix:

@@ -42,16 +42,9 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .characters import ClassFunction
-from .cyclo import CycloNum, I, INV_SQRT2, ONE, ZERO, sqrt_of_fraction
+from .cyclo import CycloNum, I, INV_SQRT2, ONE, ZERO, inner, sqrt_of_fraction
 from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find_isomorphism
-from .matrices import (
-    ExactMatrix,
-    Vector,
-    outer,
-    proportionality,
-    ray_key,
-    vec_inner,
-)
+from .matrices import ExactMatrix, Vector, outer, proportionality, ray_key
 
 
 class NotDichotomic(Exception):
@@ -143,11 +136,6 @@ def bell_state() -> PureState:
     return _PHI
 
 
-def bell_basis() -> tuple[PureState, ...]:
-    """|Phi_k> = (sigma_k x 1)|Phi>, an orthonormal 2-qubit basis."""
-    return _BELL_BASIS
-
-
 @lru_cache(maxsize=1)
 def tsirelson_settings() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
     """(A0, A1, C0, C1) = (sz, sx, (sz+sx)/sqrt2, (sz-sx)/sqrt2)."""
@@ -173,8 +161,8 @@ def chsh_value(state: PureState, settings: Sequence[ExactMatrix]) -> CycloNum:
     if state.is_zero():
         raise ZeroState("CHSH value of the zero vector")
     bell_op = _bell_operator(tuple(settings))
-    num = vec_inner(state.vector, bell_op.apply(state.vector))
-    return num * vec_inner(state.vector, state.vector).inverse()
+    num = inner(state.vector, bell_op.apply(state.vector))
+    return num * inner(state.vector, state.vector).inverse()
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +196,7 @@ def _pair_operator(w: Vector) -> ExactMatrix:
     """The 2x2 operator B with (<w| x 1)(q x Phi) = B q for a qubit q, <w|
     on (q, Phi's first qubit): B[t][b] = sum_j conj(w[2b + j]) Phi[2j + t]."""
     phi = _PHI.vector
-    return ExactMatrix([[vec_inner(w[2 * b:2 * b + 2], phi[t::2]) for b in range(2)]
+    return ExactMatrix([[inner(w[2 * b:2 * b + 2], phi[t::2]) for b in range(2)]
                         for t in range(2)])
 
 
@@ -227,11 +215,11 @@ def teleport(state: PureState) -> ProtocolTrace:
         raise ValueError("teleportation input must be a single qubit")
     if state.is_zero():
         raise ZeroState("cannot teleport the zero vector")
-    inv_total = vec_inner(state.vector, state.vector).inverse()
+    inv_total = inner(state.vector, state.vector).inverse()
     records = []
     for k, pair_op in enumerate(_BELL_PAIR_OPERATORS):
         cond = pair_op.apply(state.vector)
-        prob = (vec_inner(cond, cond) * inv_total).as_fraction()
+        prob = (inner(cond, cond) * inv_total).as_fraction()
         post = PureState(pauli(k).apply(cond))
         records.append(
             OutcomeRecord(
@@ -403,7 +391,7 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
         except ValueError:  # C B is zero
             ray = None
         cls = classes.setdefault(ray, len(classes))
-        plan.append((label, pair_op, vec_inner(u, u), corr_label, corr, cls))
+        plan.append((label, pair_op, inner(u, u), corr_label, corr, cls))
     return tuple(plan)
 
 
@@ -412,14 +400,14 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
 @lru_cache(maxsize=16)
 def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> ProtocolTrace:
     low, high = left_vector[:2], left_vector[2:]
-    inv_total = vec_inner(left_vector, left_vector).inverse()  # <Phi|Phi> is 1
+    inv_total = inner(left_vector, left_vector).inverse()  # <Phi|Phi> is 1
     settings = tsirelson_settings()
     chsh_of_class: dict[int, CycloNum] = {}
 
     records = []
     for label, pair_op, uu, corr_label, corr, cls in _swap_plan(inst, corr_key):
         pair = pair_op.apply(low) + pair_op.apply(high)
-        pp = vec_inner(pair, pair)
+        pp = inner(pair, pair)
         # the branch is u x pair; <u|u> and <pair|pair> may lie in Q(sqrt2),
         # only the probability is rational
         prob = (pp * uu * inv_total).as_fraction()
@@ -566,9 +554,8 @@ def correction_group_check() -> GroupHom:
     """The eight corrections mod phases form D4 (explicit isomorphism),
     and the four Paulis mod phases form K4; returns the D4 isomorphism."""
     correction_seeds = [seed for _, seed in _STANDARD_CORRECTIONS]
+    # no order check here: find_isomorphism onto D4 below refuses any other order
     ray_group = matrix_group_mod_phases(correction_seeds, "corrections/phases")
-    if ray_group.order != 8:
-        raise ValueError(f"correction quotient has order {ray_group.order}, expected 8")
 
     idx_s = ray_group.element_words.index("S")
     idx_x = ray_group.element_words.index("X")
@@ -588,11 +575,8 @@ def correction_group_check() -> GroupHom:
     pauli_matrix_group = _table("PauliMatrices", words, pauli_closure, key=lambda m: m)
     find_isomorphism(pauli_matrix_group, builtin_group("Pauli1"))
 
+    # find_isomorphism onto K4 refuses a wrong order or an element of order 4
     pauli_quotient = matrix_group_mod_phases(pauli_seeds, "paulis/phases")
-    if pauli_quotient.order != 4:
-        raise ValueError("Pauli quotient does not have order 4")
-    if any(pauli_quotient.element_order(x) != 2 for x in range(1, 4)):
-        raise ValueError("Pauli quotient has an element of order != 2")
     find_isomorphism(pauli_quotient, builtin_group("K4"))
     return iso
 

@@ -33,7 +33,7 @@ from .classify import (
     k4_target_pulled_to_d4,
     seven_families,
 )
-from .cyclo import CycloNum, ONE
+from .cyclo import CycloNum, ONE, inner
 from .groups import (
     BUILTIN_NAMES,
     builtin_group,
@@ -41,7 +41,7 @@ from .groups import (
     central_quotient,
     conjugacy_classes,
 )
-from .matrices import ExactMatrix, hs_inner, vec_inner
+from .matrices import ExactMatrix, hs_inner
 from .quantum import (
     PureState,
     TSIRELSON,
@@ -222,7 +222,7 @@ def _check_tsirelson() -> str:
     _require(abs(value.to_complex() - 2.8284271247461903) < 1e-12)
     zz = pauli(3).tensor(pauli(3))
     phi = bell_state()
-    _require(vec_inner(phi.vector, zz.apply(phi.vector)) == ONE)
+    _require(inner(phi.vector, zz.apply(phi.vector)) == ONE)
     return "CHSH(bell, tsirelson settings) = 2*sqrt2 exactly; float embedding within 1e-12"
 
 
@@ -340,7 +340,7 @@ def _check_partial_trace_identity() -> str:
     half = CycloNum(Fraction(1, 2))
     for _ in range(25):
         m = _rand_matrix(rng, 2)
-        lhs = vec_inner(phi.vector, m.tensor(eye).apply(phi.vector))
+        lhs = inner(phi.vector, m.tensor(eye).apply(phi.vector))
         _require(lhs == half * m.trace())
     return "<Phi|(M x 1)|Phi> = tr(M)/2 for 25 random rational-entry M"
 

@@ -19,9 +19,9 @@ from repcheck.characters import (
     trivial_character,
 )
 from repcheck.classify import classify_all, family_by_name
-from repcheck.cyclo import CycloNum, I, ONE
+from repcheck.cyclo import CycloNum, I, ONE, inner
 from repcheck.groups import BUILTIN_NAMES, builtin_group, central_quotient, verify_hom
-from repcheck.matrices import ExactMatrix, hs_inner, vec_inner
+from repcheck.matrices import ExactMatrix, hs_inner
 from repcheck.quantum import (
     PureState,
     TSIRELSON,
@@ -231,7 +231,7 @@ def test_criterion_9_property_suite():
     eye = ExactMatrix.identity(2)
     for _ in range(25):
         m = rand_m()
-        got = vec_inner(phi.vector, m.tensor(eye).apply(phi.vector))
+        got = inner(phi.vector, m.tensor(eye).apply(phi.vector))
         assert got == CycloNum(Fraction(1, 2)) * m.trace()
 
     _, inst = povm_construction()

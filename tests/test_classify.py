@@ -58,6 +58,33 @@ def test_every_family_has_trivial_multiplicity_one():
         assert inner_product(trivial_character(f.group), f.target) == ONE
 
 
+def test_a_family_is_its_name_and_target():
+    """Its group and dimension are read off the target, so they cannot
+    disagree with it; anything but a ClassFunction is refused."""
+    f = Family("x", family_by_name("D4_125").target)
+    assert f.group == D4 and f.dimension == 4
+    v = classify(f)
+    assert v.realizable and v.witness.character_label == "chiE1"
+    for bad in ((1, 1, 0, 0, 1), None, "D4_125"):
+        with pytest.raises(TypeError, match=f"must be a ClassFunction, got {type(bad).__name__}$"):
+            Family("x", bad)
+
+
+def test_family_by_name_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="nope"):
+        family_by_name("nope")
+
+
+def test_swapped_d4_rows_pass_the_table_check_but_not_the_dimensions(monkeypatch):
+    """chi4 and chi5 swapped is still an orthogonal table, so char_table
+    takes it; the family dimensions catch it."""
+    labels, rows = _RAW_TABLES["D4"]
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, rows[:3] + (rows[4], rows[3])))
+    char_table(D4)
+    with pytest.raises(ClassifierInconsistency, match="^D4_125: dimension 3 != 4$"):
+        seven_families()
+
+
 def test_family_groups():
     groups = {f.name: f.group.name for f in seven_families()}
     assert groups["K4_1234"] == "K4"
@@ -119,7 +146,7 @@ def test_parity_check(name, fires):
 
 def test_parity_check_is_silent_on_the_k4_pullback_target():
     pulled = k4_target_pulled_to_d4(family_by_name("K4_1234").target)
-    synthetic = Family(name="K4_pullback", group=D4, target=pulled, dimension=4)
+    synthetic = Family("K4_pullback", pulled)
     assert check_parity(synthetic) is None  # chi5 multiplicity 0 is even
 
 
@@ -146,7 +173,7 @@ def test_k4_target_pulled_to_d4_makes_one_pullback(monkeypatch):
 
 def test_classify_accepts_a_target_built_from_a_list():
     target = family_by_name("D4_125").target
-    family = Family("D4_125", D4, ClassFunction(D4, list(target.values)), 4)
+    family = Family("D4_125", ClassFunction(D4, list(target.values)))
     assert family == family_by_name("D4_125")
     assert classify(family) == classify(family_by_name("D4_125"))
 
@@ -259,7 +286,7 @@ def test_battery_agrees_with_witness_enumeration():
 def test_uncovered_class_raises_instead_of_a_canned_record():
     """A witness-less target that no named check rules out is a coverage
     gap, not an obstruction."""
-    toy = Family("toy", D4, T4.irreducibles[0] + T4.irreducibles[1], 2)
+    toy = Family("toy", T4.irreducibles[0] + T4.irreducibles[1])
     assert enumerate_witnesses(toy) == []
     with pytest.raises(ClassifierInconsistency, match="fail to cover"):
         classify(toy)
@@ -341,7 +368,7 @@ def test_a_warm_verdict_meets_a_corrupted_table(monkeypatch, corrupt):
 
 def test_an_uncovered_class_raises_on_every_call():
     """A raise is not memoized: the coverage gap shows again."""
-    toy = Family("toy", D4, T4.irreducibles[0] + T4.irreducibles[1], 2)
+    toy = Family("toy", T4.irreducibles[0] + T4.irreducibles[1])
     for _ in range(2):
         with pytest.raises(ClassifierInconsistency, match="fail to cover"):
             classify(toy)

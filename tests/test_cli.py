@@ -327,6 +327,13 @@ def test_out_to_missing_directory_is_refused(capsys, tmp_path, command):
     _assert_refused(capsys, code)
 
 
+def test_an_empty_out_path_is_refused_not_read_as_stdout(capsys):
+    code = cli.main(["classify", "--out", ""])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out : ")
+
+
 def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
     # 3000 rounds print about 250 kB, far beyond a 64 KiB pipe buffer, so
     # a write meets the closed read end

@@ -199,6 +199,24 @@ def test_group_table_rejects_corrupt_data():
     with pytest.raises(GroupError):
         # Latin square, rows/cols permute, but no two-sided identity at 0
         GroupTable("bad", [[1, 0], [0, 1]], ["e", "g"])
+    with pytest.raises(GroupError, match="bad: 3 words for order 2$"):
+        GroupTable("bad", [[0, 1], [1, 0]], ["e", "g", "h"])
+    with pytest.raises(GroupError, match="bad: multiplication table is not a Latin square$"):
+        GroupTable("bad", [[0, 1], [0, 1]], ["e", "g"])  # rows permute, column 0 does not
+    # a Latin square with identity 0 whose product is not associative
+    loop = [[int(c) for c in row] for row in ("01234", "10342", "24013", "32401", "43120")]
+    with pytest.raises(GroupError, match="bad: associativity fails at "):
+        GroupTable("bad", loop, ["e", "a", "b", "c", "d"])
+
+
+def test_one_table_under_other_words_is_another_group():
+    k4 = builtin_group("K4")
+    assert GroupTable("K4", k4.mul_table, ["1", "x", "y", "xy"]) != k4
+
+
+def test_builtin_group_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown group 'Q8'"):
+        builtin_group("Q8")
 
 
 def test_dump_format():

@@ -1,21 +1,14 @@
 """Exact linear algebra over Q(zeta_8)."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO
-from repcheck.matrices import (
-    ExactMatrix,
-    hs_inner,
-    outer,
-    proportionality,
-    ray_key,
-    vec_inner,
-    vec_tensor,
-)
+from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
+from repcheck.matrices import ExactMatrix, hs_inner, outer, proportionality, ray_key
 
 RNG = random.Random(11)
 
@@ -149,10 +142,9 @@ def test_hs_inner_is_trace_of_dagger_product():
 def test_vector_helpers():
     v = (ONE, ZERO, I)
     w = (I, ONE, ONE)
-    assert vec_inner(v, w) == I + (-I)  # 1*i + conj(i)*1
-    u = (ONE + CycloNum.zeta(1), ONE)
-    assert vec_inner(u, u) == CycloNum(3) + SQRT2  # |1 + z|^2 = 2 + sqrt2, not rational
-    assert vec_tensor((ONE, ZERO), (ZERO, ONE)) == (ZERO, ONE, ZERO, ZERO)
+    assert inner(v, w) == I + (-I)  # 1*i + conj(i)*1
+    u = (ONE + CycloNum(0, 1, 0, 0), ONE)
+    assert inner(u, u) == CycloNum(3) + SQRT2  # |1 + z|^2 = 2 + sqrt2, not rational
 
 
 def test_apply_matches_matmul_on_columns():
@@ -177,8 +169,10 @@ def test_ray_key_is_one_key_per_ray():
     m = ExactMatrix([[ZERO, CycloNum(Fraction(3, 2), 0, -1, 0)], [I, CycloNum(2)]])
     key = ray_key(m)
     assert key[0, 0] == ZERO and key[0, 1] == ONE  # first non-zero entry, row-major
-    for k in range(8):
-        assert ray_key(m.scale(zeta ** k)) == key
+    c = ONE
+    for _ in range(8):
+        assert ray_key(m.scale(c)) == key
+        c = c * zeta
     for _ in range(20):
         c = ZERO
         while c.is_zero():
@@ -208,10 +202,25 @@ def test_str_uses_display_basis():
 def test_shape_errors():
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        ExactMatrix.identity(2) @ ExactMatrix.identity(3)
+    a, b = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    with pytest.raises(ValueError, match="^shape mismatch 2x2 @ 3x3$"):
+        a @ b
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        a + b
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        a - b
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        a.apply((ONE,) * 3)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]]).trace()
+
+
+@pytest.mark.parametrize("other", [3, ONE, "m", (ONE, ONE)], ids=repr)
+def test_a_foreign_operand_is_python_s_type_error(other):
+    m = ExactMatrix.identity(2)
+    for op in (operator.add, operator.sub, operator.matmul):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            op(m, other)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +253,7 @@ def test_zero_matrices_and_vectors():
     assert a.transpose() @ z.transpose() == ExactMatrix.zeros(2, 3)
     assert z.apply(rand_vector(SPARSE_RNG, 4)) == (ZERO,) * 3
     assert a.apply((ZERO,) * 2) == (ZERO,) * 4
-    assert vec_inner((ZERO,) * 3, (ONE, I, ONE)) == ZERO
-    assert vec_tensor((ZERO, ZERO), (ONE, I)) == (ZERO,) * 4
+    assert inner((ZERO,) * 3, (ONE, I, ONE)) == ZERO
 
 
 def test_swap_operators_match_dense_reference():
@@ -254,7 +262,7 @@ def test_swap_operators_match_dense_reference():
         assert op.rows == op.cols == 16
         assert sum(not x.is_zero() for row in op.entries for x in row) == 16
     phi = (ONE, ZERO, ZERO, ONE)
-    vectors = [vec_tensor(rand_vector(SPARSE_RNG, 4, 0.0), phi),
+    vectors = [tuple(a * b for a in rand_vector(SPARSE_RNG, 4, 0.0) for b in phi),
                rand_vector(SPARSE_RNG, 16), (ZERO,) * 16]
     for op in ops:
         for v in vectors:
@@ -273,8 +281,7 @@ def test_tensor_matches_dense_kronecker():
 def test_vector_helpers_match_dense_sums():
     for _ in range(20):
         v, w = rand_vector(SPARSE_RNG, 5), rand_vector(SPARSE_RNG, 5)
-        assert vec_inner(v, w) == sum((a.conjugate() * b for a, b in zip(v, w)), ZERO)
-        assert vec_tensor(v, w) == tuple(a * b for a in v for b in w)
+        assert inner(v, w) == sum((a.conjugate() * b for a, b in zip(v, w)), ZERO)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from repcheck.characters import char_table, conj_character
-from repcheck.cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO
+from repcheck.cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, inner
 from repcheck.groups import builtin_group, verify_hom
 from repcheck import quantum
-from repcheck.matrices import ExactMatrix, hs_inner, vec_inner, vec_tensor
+from repcheck.matrices import ExactMatrix, hs_inner
 from repcheck.quantum import (
     IncompleteInstrument,
     Instrument,
@@ -23,7 +23,6 @@ from repcheck.quantum import (
     PureState,
     TSIRELSON,
     ZeroState,
-    bell_basis,
     bell_state,
     chsh_value,
     conj_rep_character_from_matrices,
@@ -92,7 +91,7 @@ def test_pauli_matrices_agree_with_group_table():
 
 
 def test_bell_basis_explicit_vectors():
-    b = bell_basis()
+    b = quantum._BELL_BASIS
     half = INV_SQRT2
     assert b[0].vector == (half, ZERO, ZERO, half)
     assert b[1].vector == (ZERO, half, half, ZERO)
@@ -101,16 +100,11 @@ def test_bell_basis_explicit_vectors():
 
 
 def test_bell_basis_gram_matrix_is_identity():
-    b = bell_basis()
+    b = quantum._BELL_BASIS
     for j in range(4):
         for k in range(4):
             expected = ONE if j == k else ZERO
-            assert vec_inner(b[j].vector, b[k].vector) == expected
-
-
-def test_bell_basis_is_the_same_on_every_call():
-    first = bell_basis()
-    assert bell_basis() == first
+            assert inner(b[j].vector, b[k].vector) == expected
 
 
 @pytest.mark.parametrize("k", [4, -1, -4, 5])
@@ -149,7 +143,7 @@ def test_tsirelson_value_exact():
 def test_zz_correlation_on_bell_state():
     phi = bell_state()
     zz = pauli(3).tensor(pauli(3))
-    assert vec_inner(phi.vector, zz.apply(phi.vector)) == ONE
+    assert inner(phi.vector, zz.apply(phi.vector)) == ONE
 
 
 def test_chsh_of_product_state():
@@ -218,7 +212,7 @@ def test_teleport_rejects_zero_state():
 
 def general_qubit() -> PureState:
     """(1 + z)|0> + |1>: its squared norm 3 + sqrt2 is irrational."""
-    return PureState((ONE + CycloNum.zeta(1), ONE))
+    return PureState((ONE + CycloNum(0, 1, 0, 0), ONE))
 
 
 def test_teleport_of_a_state_with_irrational_norm():
@@ -233,7 +227,7 @@ def test_teleport_of_a_state_with_irrational_norm():
 def test_teleporting_half_of_an_entangled_pair():
     """Teleporting one leg of a Bell pair is a swap with the Bell-basis
     instrument: the output pair must return to the Bell state."""
-    projectors = [outer_state(b) for b in bell_basis()]
+    projectors = [outer_state(b) for b in quantum._BELL_BASIS]
     inst = Instrument(
         labels=tuple(f"b{k}" for k in range(4)),
         kraus=tuple(projectors),
@@ -607,7 +601,7 @@ def dense_pair_measurement(v, w):
     """The reference: <w| contracted with v x Phi built densely, on the last
     qubit of v and the first of Phi; entry 2x + t pairs full[8x + 2j + t]
     with w[j]."""
-    full = vec_tensor(v, bell_state().vector)
+    full = tuple(a * b for a in v for b in bell_state().vector)
     return tuple(
         sum((w[j].conjugate() * full[8 * x + 2 * j + t] for j in range(4)), ZERO)
         for x in range(len(full) // 8) for t in range(2)
@@ -624,12 +618,12 @@ def test_pair_operators_match_the_dense_pair_measurement():
     for m, (label, pair_op, *_) in zip(inst.kraus, plan):
         row = next(r for r in m.entries if any(not x.is_zero() for x in r))
         bras.append((tuple(x.conjugate() for x in row), pair_op))  # M = |u><w|
-    bras += [(bk.vector, op) for bk, op in zip(bell_basis(), quantum._BELL_PAIR_OPERATORS)]
+    bras += [(bk.vector, op) for bk, op in zip(quantum._BELL_BASIS, quantum._BELL_PAIR_OPERATORS)]
     assert len(bras) == 12
     rng = random.Random(4242)
     qubits = [general_state(rng, 2) for _ in range(6)] + [general_qubit()]
     pairs = [general_state(rng, 4) for _ in range(6)]
-    assert any(not vec_inner(s.vector, s.vector).is_rational() for s in qubits + pairs)
+    assert any(not inner(s.vector, s.vector).is_rational() for s in qubits + pairs)
     for w, pair_op in bras:
         for q in qubits:
             assert pair_op.apply(q.vector) == dense_pair_measurement(q.vector, w)
@@ -748,7 +742,7 @@ def test_conj_rep_character_from_d8_lift():
 
 def test_conj_rep_character_of_one_dimensional_rep():
     z4 = builtin_group("Z4")
-    mats = tuple(ExactMatrix([[I ** k]]) for k in range(4))
+    mats = tuple(ExactMatrix([[i_k]]) for i_k in (ONE, I, -ONE, -I))
     got = conj_rep_character_from_matrices(z4, mats)
     assert all(v == ONE for v in got.values)
 
@@ -798,7 +792,7 @@ def test_partial_trace_identity_on_random_matrices():
     half = CycloNum(Fraction(1, 2))
     for _ in range(20):
         m = rand_2x2()
-        got = vec_inner(phi.vector, m.tensor(eye).apply(phi.vector))
+        got = inner(phi.vector, m.tensor(eye).apply(phi.vector))
         assert got == half * m.trace()
 
 
