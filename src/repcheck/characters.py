@@ -163,12 +163,6 @@ def trivial_character(g: GroupTable) -> ClassFunction:
     return ClassFunction(g, tuple(ONE for _ in conjugacy_classes(g).classes))
 
 
-def regular_character(g: GroupTable) -> ClassFunction:
-    """|G| at the identity class, 0 elsewhere."""
-    k = len(conjugacy_classes(g))
-    return ClassFunction(g, (CycloNum(g.order),) + tuple(ZERO for _ in range(k - 1)))
-
-
 def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
     """Class-size-weighted sum (1/|G|) sum_K |K| conj(a(K)) b(K)."""
     if a.group != b.group:

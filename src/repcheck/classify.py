@@ -95,7 +95,7 @@ class ObstructionRecord:
 @dataclass(frozen=True)
 class Family:
     """A named target conjugation character; its group and dimension are
-    the target's own."""
+    the target's own, and the dimension must be a positive integer."""
 
     name: str
     target: ClassFunction
@@ -103,6 +103,10 @@ class Family:
     def __post_init__(self):
         if not isinstance(self.target, ClassFunction):
             raise TypeError(f"a Family target must be a ClassFunction, got {type(self.target).__name__}")
+        d = self.target.values[0]
+        if not (d.is_integer() and d.as_int() > 0):
+            raise ValueError(f"family {self.name}: target value {d} at the identity "
+                             "is not a positive integer")
 
     @property
     def group(self) -> GroupTable:

@@ -23,26 +23,30 @@ once per class.  That is exact because CHSH is invariant under a non-zero
 scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
 
 The fixed operators (Paulis, phase gate, Bell basis and its pair
-operators, corrections) are built once at import.  The POVM and its instrument are built and checked once per
-distinct Bell basis and phase gate; ``povm_construction`` returns a new list
-of the shared effects on every call, together with the one shared
+operators, corrections) are built once at import.  The POVM and its
+instrument are built and checked once per distinct Bell basis and phase
+gate; each effect's matrix is derived from its scale and vector, and each
+Kraus operator is sqrt2 times its effect.  ``povm_construction`` returns a
+new list of the shared effects on every call, together with the one shared
 Instrument.
 
-Both matrix groups, the 16 Pauli matrices and the corrections mod phases,
-are tabulated by one builder; ``matrices.ray_key`` identifies matrices that
-are equal up to a scalar.
+Both matrix groups are tabulated by one builder: the corrections mod
+phases, where ``matrices.ray_key`` identifies matrices that are equal up to
+a scalar, and the 16 matrices i^k sigma_j, laid out at Pauli1's indices and
+compared with its hard-coded table entry for entry.  The conjugation
+character of a matrix assignment is tr(U x conj U) per element.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .characters import ClassFunction
-from .cyclo import CycloNum, I, INV_SQRT2, ONE, ZERO, inner, sqrt_of_fraction
+from .cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, inner, sqrt_of_fraction
 from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find_isomorphism
 from .matrices import ExactMatrix, Vector, outer, proportionality, ray_key
 
@@ -239,18 +243,19 @@ def teleport(state: PureState) -> ProtocolTrace:
 
 @dataclass(frozen=True)
 class Effect:
-    """A rank-one POVM effect scale * |v><v| with a positive rational scale."""
+    """A rank-one POVM effect scale * |v><v| with a positive rational scale;
+    its matrix is derived from the two."""
 
     label: str
     scale: Fraction
     vector: PureState
-    matrix: ExactMatrix
+    matrix: ExactMatrix = field(init=False)
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("effect scale must be positive")
-        if self.matrix != outer(self.vector.vector, self.vector.vector).scale(self.scale):
-            raise ValueError("effect matrix does not match scale * |v><v|")
+        v = self.vector.vector
+        object.__setattr__(self, "matrix", outer(v, v).scale(self.scale))
 
 
 @dataclass(frozen=True)
@@ -292,26 +297,20 @@ def _povm_built(
     vectors = [(f"b{k}", bk) for k, bk in enumerate(basis)]
     vectors += [(f"a{k}", PureState(s_lift.apply(bk.vector))) for k, bk in enumerate(basis)]
 
-    effects = tuple(
-        Effect(label=lbl, scale=half, vector=v,
-               matrix=outer(v.vector, v.vector).scale(half))
-        for lbl, v in vectors
-    )
+    effects = tuple(Effect(label=lbl, scale=half, vector=v) for lbl, v in vectors)
 
-    # both halves resolve the identity on their own
+    # each half sums to I/2, so its four vectors are an orthonormal basis;
+    # then the Kraus operators, sqrt2 times the effects, sum M^dag M to I
+    half_eye = ExactMatrix.identity(4).scale(half)
     for half_slice in (effects[:4], effects[4:]):
         total = ExactMatrix.zeros(4, 4)
         for e in half_slice:
-            total = total + outer(e.vector.vector, e.vector.vector)
-        if not total.is_identity():
+            total = total + e.matrix
+        if total != half_eye:
             raise IncompleteInstrument(f"{half_slice[0].label[0]}-family does not resolve the identity")
 
-    kraus = tuple(
-        outer(v.vector, v.vector).scale(INV_SQRT2) for _, v in vectors
-    )
-    inst = Instrument(labels=tuple(lbl for lbl, _ in vectors), kraus=kraus)
-    if not inst.is_complete():
-        raise IncompleteInstrument("Kraus completeness fails")
+    inst = Instrument(labels=tuple(e.label for e in effects),
+                      kraus=tuple(e.matrix.scale(SQRT2) for e in effects))
     return effects, inst
 
 
@@ -497,25 +496,6 @@ def verify_cocycle() -> CycloNum:
     return I
 
 
-def _matrix_closure(seeds: Sequence[ExactMatrix]) -> list[ExactMatrix]:
-    seen: dict[ExactMatrix, int] = {}
-    order: list[ExactMatrix] = []
-    for m in seeds:
-        if m not in seen:
-            seen[m] = len(order)
-            order.append(m)
-    frontier = list(order)
-    while frontier:
-        x = frontier.pop(0)
-        for s in seeds:
-            y = x @ s
-            if y not in seen:
-                seen[y] = len(order)
-                order.append(y)
-                frontier.append(y)
-    return order
-
-
 def _table(
     name: str,
     words: Sequence[str],
@@ -551,8 +531,9 @@ def matrix_group_mod_phases(seeds: Sequence[tuple[str, ExactMatrix]], name: str)
 
 
 def correction_group_check() -> GroupHom:
-    """The eight corrections mod phases form D4 (explicit isomorphism),
-    and the four Paulis mod phases form K4; returns the D4 isomorphism."""
+    """The eight corrections mod phases form D4 (explicit isomorphism), the
+    16 matrices i^k sigma_j multiply by Pauli1's table, and the four Paulis
+    mod phases form K4; returns the D4 isomorphism."""
     correction_seeds = [seed for _, seed in _STANDARD_CORRECTIONS]
     # no order check here: find_isomorphism onto D4 below refuses any other order
     ray_group = matrix_group_mod_phases(correction_seeds, "corrections/phases")
@@ -567,13 +548,14 @@ def correction_group_check() -> GroupHom:
 
     iso = find_isomorphism(ray_group, builtin_group("D4"))
 
-    # Pauli-only case: full matrix group is the built-in Pauli group,
-    # and mod phases it collapses to K4
+    # i^k sigma_j at Pauli1's index 4j + k: the matrices multiply by its
+    # hard-coded table itself, signs and phases included, and mod phases
+    # they collapse to K4
     pauli_seeds = correction_seeds[:4]
-    pauli_closure = _matrix_closure([m for _, m in pauli_seeds])
-    words = [f"m{i}" for i in range(len(pauli_closure))]
-    pauli_matrix_group = _table("PauliMatrices", words, pauli_closure, key=lambda m: m)
-    find_isomorphism(pauli_matrix_group, builtin_group("Pauli1"))
+    p1 = builtin_group("Pauli1")
+    mats = [m.scale(phase) for _, m in pauli_seeds for phase in (ONE, I, -ONE, -I)]
+    if _table("PauliMatrices", p1.element_words, mats, key=lambda m: m) != p1:
+        raise ValueError("the Pauli matrices do not multiply by Pauli1's table")
 
     # find_isomorphism onto K4 refuses a wrong order or an element of order 4
     pauli_quotient = matrix_group_mod_phases(pauli_seeds, "paulis/phases")
@@ -600,7 +582,8 @@ def pvm_counting_check() -> str:
 def conj_rep_character_from_matrices(
     group: GroupTable, mats: Sequence[ExactMatrix]
 ) -> ClassFunction:
-    """Trace of X -> U X U^dag on the matrix-unit basis, per group element.
+    """Trace of X -> U X U^dag per group element, read as tr(U x conj U):
+    on row-major vec(X) the map is U x conj U.
 
     Accepts projective assignments (group law up to a scalar).  The result
     is checked to be constant on conjugacy classes and to equal |tr U|^2
@@ -627,23 +610,10 @@ def conj_rep_character_from_matrices(
                     f"U[{group.word(group.mul(g, h))}]"
                 )
 
-    dim = mats[0].rows
-    basis = []
-    for i in range(dim):
-        for j in range(dim):
-            e_ij = ExactMatrix(
-                [[ONE if (r, c) == (i, j) else ZERO for c in range(dim)] for r in range(dim)]
-            )
-            basis.append((i, j, e_ij))
-
     per_element = []
     for g in group.elements():
         u = mats[g]
-        ud = u.dagger()
-        total = ZERO
-        for i, j, e_ij in basis:
-            conjugated = u @ e_ij @ ud
-            total = total + conjugated[i, j]
+        total = u.tensor(u.conj()).trace()
         if total != u.trace().abs_sq():
             raise ArithmeticError(
                 f"conjugation trace at {group.word(g)} disagrees with |tr U|^2"
@@ -666,15 +636,7 @@ def pauli_rep_on_k4() -> tuple[ExactMatrix, ...]:
 
 def lifted_correction_rep_on_d8() -> tuple[ExactMatrix, ...]:
     """D8 element z^i h^j (index i + 8j) realized as S^i sigma_x^j."""
-    s = phase_gate()
-    sx = pauli(1)
-    mats = []
-    for j in range(2):
-        for i in range(8):
-            m = _EYE2
-            for _ in range(i):
-                m = m @ s
-            if j:
-                m = m @ sx
-            mats.append(m)
-    return tuple(mats)
+    powers = [_EYE2]
+    for _ in range(7):
+        powers.append(powers[-1] @ _S)
+    return tuple(powers) + tuple(m @ pauli(1) for m in powers)

@@ -23,7 +23,6 @@ from repcheck.characters import (
     projective_irreps_d4,
     pullback,
     push_to_quotient,
-    regular_character,
     trivial_character,
 )
 from repcheck.classify import classify_all, enumerate_witnesses, family_by_name
@@ -36,6 +35,11 @@ T4 = char_table(D4)
 
 def cf(group, *ints):
     return ClassFunction(group, tuple(CycloNum(v) for v in ints))
+
+
+def regular(t):
+    """The regular character of t's group as sum d_i chi_i over its table."""
+    return combination(t.irreducibles, t.degrees())
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -102,7 +106,7 @@ def test_d8_two_dimensional_rows():
 def test_inner_products_known_values():
     chi5 = T4.by_label("chi5")
     assert inner_product(chi5, chi5) == ONE
-    assert inner_product(T4.by_label("chi1"), regular_character(D4)) == ONE
+    assert inner_product(T4.by_label("chi1"), regular(T4)) == ONE
     assert inner_product(conj_character(chi5), chi5) == ZERO
 
 
@@ -114,7 +118,7 @@ def test_inner_product_rejects_group_mismatch():
 def test_decompose_known_values():
     chi5 = T4.by_label("chi5")
     assert decompose(conj_character(chi5), T4) == (1, 1, 1, 1, 0)
-    assert decompose(regular_character(D4), T4) == (1, 1, 1, 1, 2)
+    assert decompose(regular(T4), T4) == (1, 1, 1, 1, 2)
 
 
 def test_decompose_rejects_non_character():
@@ -180,8 +184,9 @@ def test_products_of_irreducibles_decompose_integrally(name):
 def test_regular_character_decomposes_into_degrees(name):
     g = builtin_group(name)
     t = char_table(g)
-    reg = regular_character(g)
-    assert reg.values[0].as_int() == g.order
+    reg = regular(t)
+    # |G| at the identity class and 0 elsewhere: column orthogonality
+    assert reg == cf(g, g.order, *[0] * (len(t.irreducibles) - 1))
     assert decompose(reg, t) == t.degrees()
 
 
@@ -189,7 +194,7 @@ def test_pullback_of_k4_regular_lands_on_center_classes():
     # oracle: images of e and r2 are the K4 identity, every other class
     # maps to a non-identity element, so the pullback is (4,0,4,0,0)
     k4 = builtin_group("K4")
-    pulled = pullback(regular_character(k4), central_quotient(D4, k4))
+    pulled = pullback(regular(char_table(k4)), central_quotient(D4, k4))
     assert pulled == cf(D4, 4, 0, 4, 0, 0)
 
 

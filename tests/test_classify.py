@@ -60,7 +60,8 @@ def test_every_family_has_trivial_multiplicity_one():
 
 def test_a_family_is_its_name_and_target():
     """Its group and dimension are read off the target, so they cannot
-    disagree with it; anything but a ClassFunction is refused."""
+    disagree with it; anything but a ClassFunction is refused, and so is a
+    target whose identity value is not a positive integer."""
     f = Family("x", family_by_name("D4_125").target)
     assert f.group == D4 and f.dimension == 4
     v = classify(f)
@@ -68,6 +69,10 @@ def test_a_family_is_its_name_and_target():
     for bad in ((1, 1, 0, 0, 1), None, "D4_125"):
         with pytest.raises(TypeError, match=f"must be a ClassFunction, got {type(bad).__name__}$"):
             Family("x", bad)
+    for at_identity in (CycloNum(0, 0, 1, 0), CycloNum(-4)):  # i and -4
+        target = ClassFunction(D4, (at_identity,) + (CycloNum(0),) * 4)
+        with pytest.raises(ValueError, match="^family x: target value .* at the identity is not a positive integer$"):
+            Family("x", target)
 
 
 def test_family_by_name_refuses_an_unknown_name():

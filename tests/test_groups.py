@@ -172,6 +172,9 @@ def test_no_isomorphism_between_distinct_groups():
         find_isomorphism(builtin_group("Z4"), builtin_group("K4"))
     with pytest.raises(IsoNotFound):
         find_isomorphism(builtin_group("D4"), builtin_group("K4"))  # order mismatch
+    # without the order check K4 -> D4 would return the embedding (0, 2, 4, 6)
+    with pytest.raises(IsoNotFound, match=r"^\|K4\| = 4 != 8 = \|D4\|$"):
+        find_isomorphism(builtin_group("K4"), builtin_group("D4"))
 
 
 def test_element_orders_in_pauli_group():

@@ -261,6 +261,27 @@ def test_povm_effects_resolve_identity():
     assert inst.is_complete()
 
 
+def test_each_half_of_the_povm_must_resolve_the_identity():
+    """The one completeness guard of the construction: each half must sum
+    to I/2, and then the Kraus operators are complete."""
+    basis = quantum._BELL_BASIS
+    _, inst = quantum._povm_built(basis, phase_gate())
+    assert inst.is_complete()
+    doubled = (PureState(tuple(a + a for a in basis[0].vector)),) + basis[1:]
+    with pytest.raises(IncompleteInstrument, match="^b-family does not resolve the identity$"):
+        quantum._povm_built(doubled, phase_gate())
+    with pytest.raises(IncompleteInstrument, match="^a-family does not resolve the identity$"):
+        quantum._povm_built(basis, ExactMatrix.diag([1, 2]))
+
+
+def test_an_effect_matrix_is_derived_from_its_scale_and_vector():
+    v = bell_state()
+    e = quantum.Effect(label="x", scale=Fraction(1, 3), vector=v)
+    assert e.matrix == outer_state(v).scale(Fraction(1, 3))
+    with pytest.raises(TypeError):
+        quantum.Effect(label="x", scale=Fraction(1, 3), vector=v, matrix=e.matrix)
+
+
 def test_povm_construction_shares_one_instrument():
     effects, inst = povm_construction()
     again, inst_again = povm_construction()
@@ -707,6 +728,22 @@ def test_correction_group_is_d4_mod_phases():
     assert src.order == 8
     assert src.element_order(src.element_words.index("S")) == 4
     assert src.element_order(src.element_words.index("X")) == 2
+
+
+def test_a_sign_flipped_sigma_y_fails_the_correction_group(monkeypatch):
+    """-sigma_y lies on sigma_y's ray, so both quotients are unchanged; only
+    the 16 matrices i^k sigma_j against Pauli1's table see the sign."""
+    from repcheck import verify
+
+    flipped = tuple(
+        (lbl, (cl, m.scale(-ONE) if lbl == "b2" else m))
+        for lbl, (cl, m) in quantum._STANDARD_CORRECTIONS
+    )
+    monkeypatch.setattr(quantum, "_STANDARD_CORRECTIONS", flipped)
+    with pytest.raises(ValueError, match="do not multiply by Pauli1's table"):
+        correction_group_check()
+    failed = [r.name for r in verify.run_all() if not r.ok]
+    assert failed == ["correction-group"]
 
 
 def test_matrix_group_mod_phases_refuses_bad_seed_sets():
