@@ -18,16 +18,17 @@ characters descend to D4 along groups.central_quotient(D8, D4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from ._record import Record
 from .cyclo import CycloNum, I, ONE, SQRT2, ZERO, as_cyclo, inner
 from .groups import (
     GroupHom,
     GroupTable,
+    _require,
     builtin_group,
     center,
     central_quotient,
@@ -59,29 +60,29 @@ class ProjectiveClassTag(Enum):
     NONTRIVIAL = "non-trivial"
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """A map from the conjugacy classes of a group into Q(zeta_8)."""
 
     group: GroupTable
     values: tuple[CycloNum, ...]
 
-    def __post_init__(self):
+    def __init__(self, group: GroupTable, values: Sequence[CycloNum]):
         # a tuple, so a list or generator is read once and the function hashes
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
+        values = tuple(values)
+        for v in values:
             if type(v) is not CycloNum:
                 raise TypeError(f"class function values must be CycloNum, got {type(v).__name__}")
-        k = len(conjugacy_classes(self.group))
-        if len(self.values) != k:
-            raise ValueError(f"expected {k} class values, got {len(self.values)}")
+        k = len(conjugacy_classes(group))
+        if len(values) != k:
+            raise ValueError(f"expected {k} class values, got {len(values)}")
+        self.__dict__.update(group=group, values=values)
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.group, self.values))
 
     def __hash__(self) -> int:
-        # immutable, so hashed once on first use; __eq__ stays the dataclass one
+        # immutable, so hashed once on first use; __eq__ stays the record one
         return self._hash
 
     def at_element(self, a: int) -> CycloNum:
@@ -102,8 +103,7 @@ class ClassFunction:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(Record):
     group: GroupTable
     labels: tuple[str, ...]
     irreducibles: tuple[ClassFunction, ...]
@@ -113,7 +113,7 @@ class CharTable:
         return hash((self.group, self.labels, self.irreducibles))
 
     def __hash__(self) -> int:
-        # immutable, so hashed once on first use; __eq__ stays the dataclass one
+        # immutable, so hashed once on first use; __eq__ stays the record one
         return self._hash
 
     def by_label(self, label: str) -> ClassFunction:
@@ -160,11 +160,14 @@ def conj_sweep(chars: tuple[ClassFunction, ...], max_degree: int) -> tuple[tuple
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:
+    _require("trivial_character", g, GroupTable)
     return ClassFunction(g, tuple(ONE for _ in conjugacy_classes(g).classes))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
     """Class-size-weighted sum (1/|G|) sum_K |K| conj(a(K)) b(K)."""
+    _require("inner_product", a, ClassFunction)
+    _require("inner_product", b, ClassFunction)
     if a.group != b.group:
         raise GroupMismatch(f"{a.group.name} vs {b.group.name}")
     return inner(a.values, b.values, conjugacy_classes(a.group).sizes, a.group.order)
@@ -172,6 +175,8 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
 
 def decompose(f: ClassFunction, t: CharTable) -> tuple[int, ...]:
     """Multiplicities of the irreducibles of t in f; exact integers or bust."""
+    _require("decompose", f, ClassFunction)
+    _require("decompose", t, CharTable)
     if f.group != t.group:
         raise GroupMismatch(f"{f.group.name} vs {t.group.name}")
     mults = []
@@ -185,6 +190,7 @@ def decompose(f: ClassFunction, t: CharTable) -> tuple[int, ...]:
 
 def conj_character(u: ClassFunction) -> ClassFunction:
     """Character of the conjugation action X -> U X U^dag, pointwise |u|^2."""
+    _require("conj_character", u, ClassFunction)
     d = u.values[0]
     if not d.is_integer() or d.as_int() <= 0:
         raise NotACharacter(f"value at identity is {d}, not a positive integer")
@@ -193,6 +199,8 @@ def conj_character(u: ClassFunction) -> ClassFunction:
 
 def pullback(f: ClassFunction, proj: GroupHom) -> ClassFunction:
     """Compose f with a surjective homomorphism: g -> f(proj(g))."""
+    _require("pullback", f, ClassFunction)
+    _require("pullback", proj, GroupHom)
     if f.group != proj.target:
         raise GroupMismatch(f"class function lives on {f.group.name}, hom targets {proj.target.name}")
     if not verify_hom(proj):
@@ -296,6 +304,7 @@ _RAW_TABLES: dict[str, tuple[tuple[str, ...], tuple[tuple, ...]]] = {
 
 def char_table(g: GroupTable) -> CharTable:
     """The irreducible character table of a built-in group, verified."""
+    # inline, not _require: every warm classify calls this some thirty times
     if not isinstance(g, GroupTable):
         raise TypeError(f"char_table needs a GroupTable, got {type(g).__name__}")
     if g.name not in _RAW_TABLES or g != builtin_group(g.name):
@@ -360,8 +369,7 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
     returned as D8 class functions (use push_to_quotient on their conjugation
     characters to land back on D4).
     """
-    if not isinstance(tag, ProjectiveClassTag):
-        raise TypeError(f"projective_irreps_d4 needs a ProjectiveClassTag, got {type(tag).__name__}")
+    _require("projective_irreps_d4", tag, ProjectiveClassTag)
     if tag is ProjectiveClassTag.TRIVIAL:
         t = char_table(builtin_group("D4"))
         return tuple(zip(t.labels, t.irreducibles))
@@ -376,8 +384,7 @@ def projective_irreps_d4(tag: ProjectiveClassTag) -> tuple[tuple[str, ClassFunct
 def push_to_quotient(f: ClassFunction) -> ClassFunction:
     """Descend a class function on D8 to D4 along D8 -> D8/Z(D8) = D4: each
     D4 class takes the value f has on its fibre, which must be constant."""
-    if not isinstance(f, ClassFunction):
-        raise TypeError(f"push_to_quotient needs a ClassFunction, got {type(f).__name__}")
+    _require("push_to_quotient", f, ClassFunction)
     d8, d4 = builtin_group("D8"), builtin_group("D4")
     if f.group != d8:
         raise GroupMismatch(f"expected a class function on D8, got {f.group.name}")

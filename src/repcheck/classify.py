@@ -22,11 +22,11 @@ degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from ._record import Record
 from .characters import (
     CharTable,
     ClassFunction,
@@ -85,15 +85,13 @@ FAMILY_NAMES = tuple(name for name, _, _ in _FAMILIES)
 _S_CLASS, _RS_CLASS = 3, 4
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(Record):
     kind: ObstructionKind
     detail: str
     scope: tuple[str, ...]  # projective classes this check rules out
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A named target conjugation character; its group and dimension are
     the target's own, and the dimension must be a positive integer."""
 
@@ -122,8 +120,7 @@ class Family:
         return (TRIVIAL, NONTRIVIAL)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     character_label: str
     projective_class: str
     character: ClassFunction
@@ -131,8 +128,7 @@ class Witness:
     also: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     family: Family
     realizable: bool
     witness: Optional[Witness]

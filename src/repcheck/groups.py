@@ -15,10 +15,11 @@ Pauli1 onto K4, D4 and K4 by one verified, surjective map each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
+
+from ._record import Record
 
 
 class GroupError(Exception):
@@ -114,8 +115,12 @@ class GroupTable:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ConjClassPartition:
+def _require(caller: str, x, cls: type) -> None:
+    if not isinstance(x, cls):
+        raise TypeError(f"{caller} needs a {cls.__name__}, got {type(x).__name__}")
+
+
+class ConjClassPartition(Record):
     """Conjugacy classes ordered by their lowest-index representative."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -127,8 +132,7 @@ class ConjClassPartition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A map between groups, stored as image[element] on the source."""
 
     source: GroupTable
@@ -144,6 +148,7 @@ class GroupHom:
 
 def verify_hom(h: GroupHom) -> bool:
     """True iff image(a*b) = image(a)*image(b) for all pairs."""
+    _require("verify_hom", h, GroupHom)
     src, tgt, im = h.source, h.target, h.image
     if len(im) != src.order:
         return False
@@ -158,6 +163,8 @@ def verify_hom(h: GroupHom) -> bool:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(g: GroupTable) -> ConjClassPartition:
+    # in the body, so only a cache miss pays the check
+    _require("conjugacy_classes", g, GroupTable)
     seen = [False] * g.order
     classes: list[tuple[int, ...]] = []
     for a in g.elements():
@@ -182,6 +189,7 @@ def conjugacy_classes(g: GroupTable) -> ConjClassPartition:
 
 def center(g: GroupTable) -> tuple[int, ...]:
     """Elements commuting with everything, in index order."""
+    _require("center", g, GroupTable)
     return tuple(
         a for a in g.elements()
         if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())
@@ -216,6 +224,8 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
 
     Raises IsoNotFound if none exists.  Intended for the tiny groups here.
     """
+    _require("find_isomorphism", a, GroupTable)
+    _require("find_isomorphism", b, GroupTable)
     if a.order != b.order:
         raise IsoNotFound(f"|{a.name}| = {a.order} != {b.order} = |{b.name}|")
     # one breadth-first walk from the identity records each element as

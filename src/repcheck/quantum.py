@@ -40,11 +40,12 @@ character of a matrix assignment is tr(U x conj U) per element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .characters import ClassFunction
 from .cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, inner, sqrt_of_fraction
 from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find_isomorphism
@@ -76,18 +77,18 @@ TSIRELSON = CycloNum(0, 2, 0, -2)  # 2*sqrt2 in the zeta basis
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """A (possibly unnormalized) state vector over Q(zeta_8)."""
 
     vector: Vector
 
-    def __post_init__(self):
+    def __init__(self, vector: Sequence[CycloNum]):
         # a tuple, so a list or generator is read once and the state hashes
-        object.__setattr__(self, "vector", tuple(self.vector))
-        for a in self.vector:
+        vector = tuple(vector)
+        for a in vector:
             if type(a) is not CycloNum:
                 raise TypeError(f"state amplitudes must be CycloNum, got {type(a).__name__}")
+        self.__dict__["vector"] = vector
 
     @property
     def dim(self) -> int:
@@ -241,15 +242,13 @@ def teleport(state: PureState) -> ProtocolTrace:
 # ----------------------------------------------------------------------
 # the eight-outcome POVM and its instrument
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(Record):
     """A rank-one POVM effect scale * |v><v| with a positive rational scale;
-    its matrix is derived from the two."""
+    its matrix, not a field, is derived from the two."""
 
     label: str
     scale: Fraction
     vector: PureState
-    matrix: ExactMatrix = field(init=False)
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -258,8 +257,7 @@ class Effect:
         object.__setattr__(self, "matrix", outer(v, v).scale(self.scale))
 
 
-@dataclass(frozen=True)
-class Instrument:
+class Instrument(Record):
     """Outcome labels with one Kraus operator each; sum M^dag M = identity."""
 
     labels: tuple[str, ...]
@@ -586,8 +584,8 @@ def conj_rep_character_from_matrices(
     on row-major vec(X) the map is U x conj U.
 
     Accepts projective assignments (group law up to a scalar).  The result
-    is checked to be constant on conjugacy classes and to equal |tr U|^2
-    entrywise before it is returned as a class function.
+    is checked to be constant on conjugacy classes before it is returned as
+    a class function.
     """
     if len(mats) != group.order:
         raise ValueError("need one matrix per group element")
@@ -610,15 +608,7 @@ def conj_rep_character_from_matrices(
                     f"U[{group.word(group.mul(g, h))}]"
                 )
 
-    per_element = []
-    for g in group.elements():
-        u = mats[g]
-        total = u.tensor(u.conj()).trace()
-        if total != u.trace().abs_sq():
-            raise ArithmeticError(
-                f"conjugation trace at {group.word(g)} disagrees with |tr U|^2"
-            )
-        per_element.append(total)
+    per_element = [u.tensor(u.conj()).trace() for u in mats]
 
     cc = conjugacy_classes(group)
     for cl in cc.classes:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .characters import (
     ProjectiveClassTag,
     char_table,
@@ -79,8 +79,7 @@ def _require(cond, *why) -> None:
         raise CheckFailed(*why)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str

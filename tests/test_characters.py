@@ -474,3 +474,24 @@ def test_table_is_verified_once_per_distinct_content(monkeypatch):
     monkeypatch.setitem(_RAW_TABLES, "D4", (labels, rows))
     assert char_table(D4) == T4
     assert verified == ["D4"] * 3
+
+
+_CHI5 = T4.by_label("chi5")
+_TO_K4 = central_quotient(D4, builtin_group("K4"))
+
+
+@pytest.mark.parametrize("bad", ["chi5", (ONE,) * 5, None], ids=["str", "tuple", "None"])
+@pytest.mark.parametrize("name,call,wanted", [
+    ("trivial_character", trivial_character, "GroupTable"),
+    ("inner_product", lambda x: inner_product(x, _CHI5), "ClassFunction"),
+    ("inner_product", lambda x: inner_product(_CHI5, x), "ClassFunction"),
+    ("decompose", lambda x: decompose(x, T4), "ClassFunction"),
+    ("decompose", lambda x: decompose(_CHI5, x), "CharTable"),
+    ("conj_character", conj_character, "ClassFunction"),
+    ("pullback", lambda x: pullback(x, _TO_K4), "ClassFunction"),
+    ("pullback", lambda x: pullback(trivial_character(builtin_group("K4")), x), "GroupHom"),
+], ids=["trivial_character", "inner_product-a", "inner_product-b", "decompose-f",
+        "decompose-t", "conj_character", "pullback-f", "pullback-proj"])
+def test_a_wrong_type_argument_names_the_function(name, call, wanted, bad):
+    with pytest.raises(TypeError, match=f"^{name} needs a {wanted}, got {type(bad).__name__}$"):
+        call(bad)

@@ -234,3 +234,20 @@ def test_equal_copy_under_another_name_has_an_equal_hash():
     copy = GroupTable("K4copy", k4.mul_table, k4.element_words)
     assert copy == k4
     assert hash(copy) == hash(k4)
+
+
+_D4 = builtin_group("D4")
+
+
+@pytest.mark.parametrize("bad", ["D4", (0, 1), None], ids=["str", "tuple", "None"])
+@pytest.mark.parametrize("name,call,wanted", [
+    ("center", center, "GroupTable"),
+    ("conjugacy_classes", conjugacy_classes, "GroupTable"),
+    ("verify_hom", verify_hom, "GroupHom"),
+    ("find_isomorphism", lambda x: find_isomorphism(x, _D4), "GroupTable"),
+    ("find_isomorphism", lambda x: find_isomorphism(_D4, x), "GroupTable"),
+], ids=["center", "conjugacy_classes", "verify_hom", "find_isomorphism-source",
+        "find_isomorphism-target"])
+def test_a_wrong_type_argument_is_a_type_error_naming_the_function(name, call, wanted, bad):
+    with pytest.raises(TypeError, match=f"^{name} needs a {wanted}, got {type(bad).__name__}$"):
+        call(bad)

@@ -777,6 +777,18 @@ def test_conj_rep_character_from_d8_lift():
     assert [v.as_int() for v in got.values] == [4, 2, 0, 2, 4, 0, 0]
 
 
+def test_conjugation_trace_is_the_squared_modulus_of_the_trace():
+    """tr(U x conj U) = |tr U|^2, the identity conj_rep_character_from_matrices
+    reads each value by: over the 4 Paulis, the 8 corrections and the 16 D8
+    lifts."""
+    mats = [pauli(k) for k in range(4)]
+    mats += [m for _, m in standard_corrections().values()]
+    mats += lifted_correction_rep_on_d8()
+    assert len(mats) == 28
+    for u in mats:
+        assert u.tensor(u.conj()).trace() == u.trace().abs_sq()
+
+
 def test_conj_rep_character_of_one_dimensional_rep():
     z4 = builtin_group("Z4")
     mats = tuple(ExactMatrix([[i_k]]) for i_k in (ONE, I, -ONE, -I))
