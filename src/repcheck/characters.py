@@ -6,10 +6,10 @@ content; a changed entry is verified again, so a corrupted entry cannot go
 unnoticed.  Class functions are indexed by the canonical conjugacy-class
 order from the groups module (lowest-index representatives).  Character
 inner products and the column-orthogonality sums go through the package's
-one Hermitian inner-product kernel, ``cyclo.inner``.  Every multiplicity
-sweep (each sum of a character list within a degree bound, with its
-conjugation character) comes from conj_sweep, one memo per character list
-and degree bound.
+one Hermitian inner-product kernel, ``cyclo.inner``.  The multiplicity
+sweeps of verify-all's oracle checks (each sum of a character list within a
+degree bound, with its conjugation character) come from conj_sweep, one
+memo per character list and degree bound.
 
 The non-trivial projective class of D4 is read on its order-16 cover D8:
 the D8 irreducibles on which the central z^4 acts as -1, whose conjugation

@@ -15,9 +15,9 @@ both), and a witness-less class that no check covers raises.
 
 What the checks read off the K4, Z4, D4 and D8 character tables (targets,
 witness candidates, table-level checks) is built and verified in one memo
-per table content, which every public function reads; its multiplicity
-sweeps come from characters.conj_sweep, one memo per character list and
-degree bound.
+per table content, which every public function reads; the multiplicity
+formulas the obstructions rest on hold for every degree, by the fusion
+coefficients <chi_i conj(chi_j), chi_k> checked there.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .characters import (
     char_table,
     combination,
     conj_character,
-    conj_sweep,
     decompose,
     inner_product,
     projective_irreps_d4,
@@ -43,7 +42,7 @@ from .characters import (
     trivial_character,
 )
 from .cyclo import ONE, ZERO
-from .groups import GroupTable, builtin_group, central_quotient
+from .groups import GroupTable, _require, builtin_group, central_quotient
 
 
 class WrongGroup(Exception):
@@ -142,6 +141,7 @@ def seven_families() -> tuple[Family, ...]:
 
 
 def family_by_name(name: str) -> Family:
+    _require("family_by_name", name, str)
     for f in seven_families():
         if f.name == name:
             return f
@@ -154,7 +154,6 @@ class _Facts(NamedTuple):
     # group name -> (label, class tag, chi_U, its conjugation character on
     # D4 or Z4); K4 is matched on D4 through the quotient, so shares D4's
     candidates: dict[str, tuple[tuple[str, str, ClassFunction, ClassFunction], ...]]
-    t_z4: CharTable
 
 
 def _tables() -> tuple[CharTable, ...]:
@@ -194,26 +193,28 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
         if pushed.values[_S_CLASS] != ZERO or pushed.values[_RS_CLASS] != ZERO:
             raise ClassifierInconsistency(f"|{label}|^2 fails to vanish on a reflection class")
         d4_side.append((label, NONTRIVIAL, chi, pushed))
+    # Z4 needs no check: <chi_i conj(chi_j), chi1> = <chi_j, chi_i> = delta_ij
+    # is the row orthogonality _verify_table checks, so the trivial multiplicity
+    # of |sum n_i chi_i|^2 is sum n_i^2 >= sum n_i = d for every n.
     z4_side = tuple((label, TRIVIAL, chi, conj_character(chi))
                     for label, chi in zip(t_z4.labels, t_z4.irreducibles))
-
-    # m5 = 2e(a+b+c+d), so even, for every chi_U of degree <= 4
-    for ns, cchi in conj_sweep(t_d4.irreducibles, 4):
-        *abcd, e = ns
-        m5 = decompose(cchi, t_d4)[4]
-        if m5 != 2 * e * sum(abcd) or m5 % 2 != 0:
-            raise ClassifierInconsistency(f"chi5 multiplicity formula fails at {ns}: got {m5}")
-
-    triv = trivial_character(t_z4.group)
-    for ns, cchi in conj_sweep(t_z4.irreducibles, 4):
-        m1 = inner_product(triv, cchi).as_int()
-        if m1 != sum(n * n for n in ns):
-            raise ClassifierInconsistency(f"m1 formula fails at multiplicities {ns}")
-        if sum(ns) >= 2 and m1 < sum(ns):
-            raise ClassifierInconsistency(f"fixed-projector bound m1 >= d fails at {ns}")
+    _check_chi5_fusion(t_d4)
 
     d4_side = tuple(d4_side)
-    return _Facts(tuple(families), t_d4, {"K4": d4_side, "Z4": z4_side, "D4": d4_side}, t_z4)
+    return _Facts(tuple(families), t_d4, {"K4": d4_side, "Z4": z4_side, "D4": d4_side})
+
+
+def _check_chi5_fusion(t: CharTable) -> None:
+    """The chi5 (slot 4) multiplicity of |sum n_i chi_i|^2 is sum_ij n_i n_j
+    <chi_i conj(chi_j), chi5>: with these fusion coefficients 1 where exactly one
+    of i, j is chi5 and 0 elsewhere, it is 2e(a+b+c+d), so even, for every n."""
+    for i, a in enumerate(t.irreducibles):
+        for j, b in enumerate(t.irreducibles):
+            product = ClassFunction(t.group, (x * y.conjugate() for x, y in zip(a.values, b.values)))
+            n, expected = decompose(product, t)[4], int((i == 4) != (j == 4))
+            if n != expected:
+                raise ClassifierInconsistency(
+                    f"chi5 fusion coefficient of ({t.labels[i]}, {t.labels[j]}) is {n}, not {expected}")
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +233,7 @@ def enumerate_witnesses(f: Family) -> list[Witness]:
     quantum module's independent route); Z4 candidates are its linear
     irreducibles, its multiplier being trivial.
     """
+    _require("enumerate_witnesses", f, Family)
     facts = _facts()
     group = f.group.name
     if group not in facts.candidates:
@@ -262,6 +264,7 @@ def check_dimension_bound(f: Family) -> Optional[ObstructionRecord]:
     The max degree is computed over the D4 irreducibles and the D8 ones of
     the non-trivial class, not hard-coded.
     """
+    _require("check_dimension_bound", f, Family)
     max_deg = max(chi.dimension() for _, _, chi, _ in _facts().candidates["D4"])
     bound = max_deg * max_deg
     if f.dimension <= bound:
@@ -277,22 +280,21 @@ def check_dimension_bound(f: Family) -> Optional[ObstructionRecord]:
 
 
 def check_z4_abelian(f: Family) -> Optional[ObstructionRecord]:
-    """Every d-dim rep of the cyclic group fixes d orthogonal projectors, so
-    the trivial character appears at least d times; verified by enumerating
-    all multisets of the four linear characters with d <= 4."""
+    """Z4's multiplier is trivial, so a candidate sums d linear characters and
+    its conjugation character has trivial multiplicity m1 = sum n_i^2 >= d (see
+    _facts_of): m1 = 1 only at d = 1, so a target with m1 = 1 needs dimension 1."""
+    _require("check_z4_abelian", f, Family)
     if f.group != builtin_group("Z4"):
         raise WrongGroup(f"abelian fixed-projector check needs Z4, got {f.group.name}")
-    ns = next((ns for ns, c in conj_sweep(_facts().t_z4.irreducibles, 4) if c == f.target), None)
-    if ns is not None:
-        raise ClassifierInconsistency(
-            f"an abelian candidate {ns} matched the target; the obstruction is wrong"
-        )
+    _facts()  # refuses a corrupted table, as every check does
+    if f.dimension == 1 or inner_product(trivial_character(f.group), f.target) != ONE:
+        return None
     return ObstructionRecord(
         kind=ObstructionKind.ABELIAN_FIXED_PROJECTORS,
         detail=(
             "the multiplier of Z4 is trivial, so candidates are sums of linear characters; "
             "any d >= 2 of them fix d orthogonal projectors (trivial multiplicity >= d > 1), "
-            "and d = 1 gives dimension 1 != 4; verified over all multisets with d <= 4"
+            f"and d = 1 gives dimension 1 != {f.dimension}; verified over all multisets with d <= 4"
         ),
         scope=f.candidate_classes(),
     )
@@ -302,9 +304,10 @@ def check_parity(f: Family) -> Optional[ObstructionRecord]:
     """In the trivial class the chi5 multiplicity of any conjugation
     character is even (it is 2e(a+b+c+d)); odd targets are unreachable.
 
-    The formula is verified against exhaustive enumeration up to the
-    realizable degree bound.
+    The formula holds for every degree: _facts_of proves it from the D4
+    fusion coefficients.
     """
+    _require("check_parity", f, Family)
     if f.group != builtin_group("D4"):
         raise WrongGroup(f"chi5 parity check needs D4, got {f.group.name}")
     m5_target = decompose(f.target, _facts().t_d4)[4]
@@ -324,6 +327,7 @@ def check_reflection_vanishing(f: Family) -> Optional[ObstructionRecord]:
     """Non-trivial-class conjugation characters vanish on both reflection
     classes (computed from |chiE1|^2, |chiE3|^2, not assumed); a target that
     is non-zero at s or rs cannot arise there."""
+    _require("check_reflection_vanishing", f, Family)
     if f.group != builtin_group("D4"):
         raise WrongGroup(f"reflection vanishing check needs D4, got {f.group.name}")
     _facts()  # the vanishing itself is checked there, once per table content

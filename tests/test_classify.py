@@ -10,6 +10,7 @@ import repcheck.classify as classify_module
 from repcheck import characters, cli
 from repcheck.characters import (
     _RAW_TABLES,
+    CharTable,
     ClassFunction,
     ProjectiveClassTag,
     TableVerificationFailed,
@@ -25,6 +26,7 @@ from repcheck.classify import (
     ClassifierInconsistency,
     Family,
     ObstructionKind,
+    ObstructionRecord,
     WrongGroup,
     check_dimension_bound,
     check_parity,
@@ -80,6 +82,23 @@ def test_family_by_name_refuses_an_unknown_name():
         family_by_name("nope")
 
 
+_WRONG_TYPE = {"str": "D4_125", "tuple": ("D4_125",), "None": None, "float": 4.0}
+_BOUNDARY = [
+    (function, "Family", kind)
+    for function in (enumerate_witnesses, check_dimension_bound, check_parity,
+                     check_reflection_vanishing, check_z4_abelian)
+    for kind in _WRONG_TYPE
+] + [(family_by_name, "str", kind) for kind in ("tuple", "None", "float")]
+
+
+@pytest.mark.parametrize("function,wanted,kind", _BOUNDARY,
+                         ids=[f"{function.__name__}-{kind}" for function, _, kind in _BOUNDARY])
+def test_a_wrong_type_argument_is_a_type_error_naming_the_function(function, wanted, kind):
+    bad = _WRONG_TYPE[kind]
+    with pytest.raises(TypeError, match=f"^{function.__name__} needs a {wanted}, got {type(bad).__name__}$"):
+        function(bad)
+
+
 def test_swapped_d4_rows_pass_the_table_check_but_not_the_dimensions(monkeypatch):
     """chi4 and chi5 swapped is still an orthogonal table, so char_table
     takes it; the family dimensions catch it."""
@@ -116,6 +135,43 @@ def test_z4_abelian_check():
     assert rec.kind is ObstructionKind.ABELIAN_FIXED_PROJECTORS
     with pytest.raises(WrongGroup):
         check_z4_abelian(family_by_name("D4_125"))
+
+
+def test_a_z4_target_is_ruled_out_only_where_no_linear_character_reaches_it():
+    """m1 = sum n_i^2, so a target with m1 = 1 is reached by a single linear
+    character exactly when it has dimension 1: the trivial character is
+    |chi|^2 of each of chi1-chi4, |chi1 + chi2|^2 has m1 = 2 and no check
+    claims it, and Z4_1234 (m1 = 1, dimension 4) stays obstructed."""
+    z4 = builtin_group("Z4")
+    v = classify(Family("trivial", trivial_character(z4)))
+    assert v.realizable and not v.obstructions
+    assert [w.character_label for w in v.witnesses] == ["chi1", "chi2", "chi3", "chi4"]
+    chis = char_table(z4).irreducibles
+    with pytest.raises(ClassifierInconsistency, match="^m1_two: obstructions fail to cover all classes$"):
+        classify(Family("m1_two", conj_character(chis[0] + chis[1])))
+    v = classify(family_by_name("Z4_1234"))
+    assert [rec.kind for rec in v.obstructions] == [ObstructionKind.ABELIAN_FIXED_PROJECTORS]
+
+
+def test_the_chi5_formula_is_checked_on_the_fusion_coefficients():
+    """A table whose slot 4 holds a linear character breaks m5 = 2e(a+b+c+d):
+    chi2 conj(chi3) is that character, so its coefficient is 1, not 0."""
+    rows = T4.irreducibles
+    swapped = CharTable(group=D4, labels=T4.labels, irreducibles=rows[:3] + (rows[4], rows[3]))
+    with pytest.raises(ClassifierInconsistency, match=r"^chi5 fusion coefficient of \(chi2, chi3\) is 1, not 0$"):
+        classify_module._check_chi5_fusion(swapped)
+    classify_module._check_chi5_fusion(T4)
+
+
+def test_the_classifier_makes_no_sweep():
+    """Its multiplicity formulas are proved from fusion coefficients, so a
+    cold classify_all() builds no conj_sweep memo entry."""
+    assert not hasattr(classify_module, "conj_sweep")
+    classify_module._facts_of.cache_clear()
+    classify_module._verdict.cache_clear()
+    characters.conj_sweep.cache_clear()
+    classify_all()
+    assert characters.conj_sweep.cache_info().misses == 0
 
 
 def test_z4_single_linear_character_has_m1_one_but_wrong_dimension():
@@ -186,6 +242,17 @@ def test_classify_accepts_a_target_built_from_a_list():
 def test_parity_check_wrong_group():
     with pytest.raises(WrongGroup):
         check_parity(family_by_name("Z4_1234"))
+
+
+def test_reflection_vanishing_check_wrong_group():
+    with pytest.raises(WrongGroup, match="^reflection vanishing check needs D4, got Z4$"):
+        check_reflection_vanishing(family_by_name("Z4_1234"))
+
+
+def test_witness_enumeration_wrong_group():
+    d8 = Family("d8", trivial_character(builtin_group("D8")))
+    with pytest.raises(WrongGroup, match="^no witness enumeration for group D8$"):
+        enumerate_witnesses(d8)
 
 
 def test_reflection_vanishing_check():
@@ -288,6 +355,20 @@ def test_battery_agrees_with_witness_enumeration():
             assert not (set(rec.scope) & witness_classes)
 
 
+def test_an_obstruction_on_a_class_with_a_witness_raises(monkeypatch):
+    """The battery and the witness enumeration are cross-checked: a check
+    that rules out the class of D4_125's witnesses is a bug, not a verdict."""
+    def fires(f):
+        return ObstructionRecord(kind=ObstructionKind.REFLECTION_VANISHING, detail="planted",
+                                 scope=("non-trivial",))
+
+    monkeypatch.setitem(classify_module._CHECKS, "D4", (fires,))
+    classify_module._verdict.cache_clear()
+    with pytest.raises(ClassifierInconsistency, match=(
+            r"^D4_125: obstruction fired for class\(es\) \['non-trivial'\] that hold a witness$")):
+        classify(family_by_name("D4_125"))
+
+
 def test_uncovered_class_raises_instead_of_a_canned_record():
     """A witness-less target that no named check rules out is a coverage
     gap, not an obstruction."""
@@ -314,12 +395,12 @@ def test_a_warm_classify_all_computes_no_conjugation_character(monkeypatch):
 
 @pytest.mark.parametrize("check", [
     enumerate_witnesses, check_dimension_bound, check_parity, check_reflection_vanishing,
-    classify,
+    check_z4_abelian, classify,
 ])
 def test_every_classifier_function_meets_a_corrupted_k4_table(monkeypatch, check):
     """Each one reads all four tables, so none answers from warm caches
     over a table it does not itself use."""
-    f = family_by_name("D4_125")
+    f = family_by_name("Z4_1234" if check is check_z4_abelian else "D4_125")
     classify_all()
     labels, rows = _RAW_TABLES["K4"]
     monkeypatch.setitem(_RAW_TABLES, "K4", (labels, rows[:3] + ((1, -1, -1, 5),)))
