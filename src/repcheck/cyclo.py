@@ -12,10 +12,10 @@ accessors (``coeffs``, ``display_coeffs``, ``as_fraction``) still return
 optional ``to_complex`` embedding.
 
 Every Hermitian inner product in the package (character inner products,
-column orthogonality, <v|w>, tr(X^dag Y)) and every matrix-vector product
-(each entry of M v is <conjugated row|v>) goes through one kernel,
+column orthogonality, <v|w>, tr(X^dag Y)) goes through one kernel,
 ``inner``, which sums weighted conj(x) * y on the integer numerators and
-reduces once.
+reduces once; ``matrices.ExactMatrix.apply`` sums M v the same way in a
+loop of its own.
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ class CycloNum:
             (b0, b1, b2, b3), db = p
         a0, a1, a2, a3 = self._n
         # z^4 = -1 folds the degree 4..6 terms back with a sign flip
+        # ExactMatrix.apply's loop repeats this product
         c0 = a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
         c1 = a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
         c2 = a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
@@ -281,36 +282,56 @@ def inner(xs: Sequence[CycloNum], ys: Sequence[CycloNum],
     """sum_k weights[k] * conj(xs[k]) * ys[k] / divisor, exactly.
 
     The one kernel behind every Hermitian inner product in the package
-    (class functions, vectors, Hilbert-Schmidt) and every matrix-vector
-    product.  It adds integer numerators
+    (class functions, vectors, Hilbert-Schmidt).  It adds integer numerators
     over one running denominator, skips terms with a zero weight or factor,
     and reduces once at the end.  Weights are integers, default all 1; the
-    divisor is a positive integer.  Unequal lengths raise ValueError.
+    divisor is a positive integer.  Unequal lengths raise ValueError, and
+    operands of any other type a TypeError.
     """
-    if divisor < 1:
-        raise ValueError(f"divisor must be a positive integer, not {divisor}")
-    if weights is None:
-        weights = repeat(1, len(xs))
-    s0 = s1 = s2 = s3 = 0
-    den = 1
-    for w, x, y in zip(weights, xs, ys, strict=True):
-        a0, a1, a2, a3 = x._n
-        b0, b1, b2, b3 = y._n
-        if not (w and (a0 or a1 or a2 or a3) and (b0 or b1 or b2 or b3)):
-            continue
-        d = x._d * y._d
-        if d != den:
-            m = lcm(den, d)
-            if m != den:
-                k = m // den
-                s0, s1, s2, s3, den = s0 * k, s1 * k, s2 * k, s3 * k, m
-            w *= m // d
-        # conj(x) = (a0, -a3, -a2, -a1), then the z^4 = -1 product with y
-        s0 += w * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
-        s1 += w * (a0 * b1 + a1 * b2 + a2 * b3 - a3 * b0)
-        s2 += w * (a0 * b2 + a1 * b3 - a2 * b0 - a3 * b1)
-        s3 += w * (a0 * b3 - a1 * b0 - a2 * b1 - a3 * b2)
-    return _reduced(s0, s1, s2, s3, den * divisor)
+    try:
+        if divisor < 1:
+            raise ValueError(f"divisor must be a positive integer, not {divisor}")
+        if weights is None:
+            weights = repeat(1, len(xs))
+        s0 = s1 = s2 = s3 = 0
+        den = 1
+        for w, x, y in zip(weights, xs, ys, strict=True):
+            a0, a1, a2, a3 = x._n
+            b0, b1, b2, b3 = y._n
+            if not (w and (a0 or a1 or a2 or a3) and (b0 or b1 or b2 or b3)):
+                continue
+            # the same running-denominator sum as ExactMatrix.apply's loop
+            d = x._d * y._d
+            if d != den:
+                m = lcm(den, d)
+                if m != den:
+                    k = m // den
+                    s0, s1, s2, s3, den = s0 * k, s1 * k, s2 * k, s3 * k, m
+                w *= m // d
+            # conj(x) = (a0, -a3, -a2, -a1), then the z^4 = -1 product with y
+            s0 += w * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
+            s1 += w * (a0 * b1 + a1 * b2 + a2 * b3 - a3 * b0)
+            s2 += w * (a0 * b2 + a1 * b3 - a2 * b0 - a3 * b1)
+            s3 += w * (a0 * b3 - a1 * b0 - a2 * b1 - a3 * b2)
+        return _reduced(s0, s1, s2, s3, den * divisor)
+    except (AttributeError, TypeError):
+        # reached only on a wrong operand, so the loop above pays no check
+        _require_vector("inner", xs)
+        _require_vector("inner", ys)
+        raise TypeError("inner needs integer weights and an integer divisor") from None
+
+
+def _require_vector(caller: str, v, kind: "type | tuple[type, ...]" = CycloNum) -> None:
+    """A TypeError naming caller unless v is a tuple or list of kind."""
+    if isinstance(v, (tuple, list)):
+        bad = [x for x in v if not isinstance(x, kind)]
+        if not bad:
+            return
+        got = f"a {type(v).__name__} holding {type(bad[0]).__name__}"
+    else:
+        got = type(v).__name__
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise TypeError(f"{caller} needs a tuple or list of {names}, got {got}")
 
 
 ZERO = CycloNum(0)

@@ -3,11 +3,14 @@
 Unitarity, Hermiticity and operator identities are equality tests, never
 tolerance tests.  The protocols need nothing larger than 4x4; products and
 tensor products skip zero operands as they meet them.  Hermitian inner
-products go through ``cyclo.inner``, and so does ``apply``: entry i of M v
-is <r_i|v> for r_i the conjugate of row i, summed on integer numerators and
-reduced once.  ``ray_key`` scales a matrix so its first non-zero entry is
-1, one key per ray.  The public constructor coerces entries to CycloNum and
-refuses ragged rows; results built inside the class skip both steps.
+products go through ``cyclo.inner``.  ``apply`` keeps each row's non-zero
+entries once per matrix and sums each entry of M v on their integer
+numerators over one running denominator, reduced once.  ``ray_key``
+scales a matrix so its first non-zero entry is 1, one key per ray.  The
+public constructor coerces entries to CycloNum and refuses ragged rows;
+results built inside the class skip both steps.  ``apply``, ``hs_inner``,
+``outer``, ``proportionality`` and ``ray_key`` give a TypeError naming
+themselves on a wrong-type operand.
 """
 
 from __future__ import annotations
@@ -15,19 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .cyclo import CycloNum, ONE, ZERO, as_cyclo, inner
+from .cyclo import CycloNum, ONE, ZERO, _reduced, _require_vector, as_cyclo, inner
+from .groups import _require
 
 Scalar = Union[CycloNum, int, Fraction]
+_SCALARS = (CycloNum, int, Fraction)
 Vector = tuple[CycloNum, ...]
 
 
 class ExactMatrix:
     """An immutable rows x cols matrix with CycloNum entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_bras")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_terms")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(as_cyclo(x) for x in row) for row in entries)
@@ -48,7 +54,7 @@ class ExactMatrix:
         self.rows = len(entries)
         self.cols = cols if entries else 0  # as the public constructor: no rows, no columns
         self._hash = None  # computed on first use: most matrices are never hashed
-        self._bras = None  # the conjugated rows, built on the first apply
+        self._terms = None  # each row's non-zero entries, built on the first apply
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -148,13 +154,49 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(out), self.cols * width)
 
     def apply(self, v: Vector) -> Vector:
-        """M v, entry i as <r_i|v> through ``cyclo.inner``, where the bra r_i
-        is row i conjugated once per matrix."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        if self._bras is None:
-            self._bras = tuple(tuple(map(CycloNum.conjugate, row)) for row in self.entries)
-        return tuple(inner(bra, v) for bra in self._bras)
+        """M v, entry i summed on integer numerators over the non-zero entries
+        of row i, kept once per matrix as (column, numerators, denominator),
+        and reduced once."""
+        try:
+            if len(v) != self.cols:
+                raise ValueError("vector length mismatch")
+            rows = self._terms
+            if rows is None:
+                rows = self._terms = tuple(
+                    tuple((j, x._n, x._d) for j, x in enumerate(row) if not x.is_zero())
+                    for row in self.entries)
+            out = []
+            for row in rows:
+                s0 = s1 = s2 = s3 = 0
+                den = 1
+                for j, (a0, a1, a2, a3), da in row:
+                    y = v[j]
+                    b0, b1, b2, b3 = y._n
+                    # CycloNum.__mul__'s product, summed over a running denominator
+                    # as in cyclo.inner: a fix to either belongs here too
+                    t0 = a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
+                    t1 = a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
+                    t2 = a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
+                    t3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+                    d = da * y._d
+                    if d != den:
+                        m = lcm(den, d)
+                        if m != den:
+                            k = m // den
+                            s0, s1, s2, s3, den = s0 * k, s1 * k, s2 * k, s3 * k, m
+                        if m != d:
+                            k = m // d
+                            t0, t1, t2, t3 = t0 * k, t1 * k, t2 * k, t3 * k
+                    s0 += t0
+                    s1 += t1
+                    s2 += t2
+                    s3 += t3
+                out.append(_reduced(s0, s1, s2, s3, den))
+        except (AttributeError, TypeError):
+            # reached only on a wrong operand, so the loop above pays no check
+            _require_vector("ExactMatrix.apply", v)
+            raise
+        return tuple(out)
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()
@@ -181,6 +223,8 @@ def _total(terms: list[CycloNum]) -> CycloNum:
 
 def hs_inner(x: ExactMatrix, y: ExactMatrix) -> CycloNum:
     """Hilbert-Schmidt inner product tr(X^dag Y) = sum_ij conj(X_ij) Y_ij."""
+    _require("hs_inner", x, ExactMatrix)
+    _require("hs_inner", y, ExactMatrix)
     x._check_shape(y)
     return inner(_flat(x), _flat(y))
 
@@ -190,7 +234,9 @@ def _flat(m: ExactMatrix) -> Vector:
 
 
 def outer(v: Vector, w: Vector) -> ExactMatrix:
-    """|v><w| as an exact matrix."""
+    """|v><w| as an exact matrix; entries may be CycloNum, int or Fraction."""
+    _require_vector("outer", v, _SCALARS)
+    _require_vector("outer", w, _SCALARS)
     return ExactMatrix([[a * b.conjugate() for b in w] for a in v])
 
 
@@ -199,13 +245,15 @@ def proportionality(v: Vector, w: Vector) -> "CycloNum | None":
 
     Exactness makes this a clean equality check; c lives in Q(zeta_8).
     A zero v against a non-zero w returns 0, so ray checks should also
-    reject zero scalars.
+    reject zero scalars.  v's entries may also be int or Fraction.
     """
+    _require_vector("proportionality", v, _SCALARS)
+    _require_vector("proportionality", w)
     if len(v) != len(w):
         return None
     pivot = next((i for i, x in enumerate(w) if not x.is_zero()), None)
     if pivot is None:
-        return None if any(not x.is_zero() for x in v) else ONE
+        return None if any(x != 0 for x in v) else ONE
     c = v[pivot] / w[pivot]
     return c if all(x == c * y for x, y in zip(v, w)) else None
 
@@ -216,6 +264,7 @@ def ray_key(m: ExactMatrix) -> ExactMatrix:
     Two non-zero matrices are proportional exactly when their keys are
     equal.  A zero matrix has no ray and raises ValueError.
     """
+    _require("ray_key", m, ExactMatrix)
     pivot = next((x for x in _flat(m) if not x.is_zero()), None)
     if pivot is None:
         raise ValueError("a zero matrix has no ray")

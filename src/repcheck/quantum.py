@@ -47,8 +47,12 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import Record
 from .characters import ClassFunction
-from .cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, inner, sqrt_of_fraction
-from .groups import GroupHom, GroupTable, builtin_group, conjugacy_classes, find_isomorphism
+from .cyclo import (
+    CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, _require_vector, inner, sqrt_of_fraction,
+)
+from .groups import (
+    GroupHom, GroupTable, _require, builtin_group, conjugacy_classes, find_isomorphism,
+)
 from .matrices import ExactMatrix, Vector, outer, proportionality, ray_key
 
 
@@ -587,6 +591,8 @@ def conj_rep_character_from_matrices(
     is checked to be constant on conjugacy classes before it is returned as
     a class function.
     """
+    _require("conj_rep_character_from_matrices", group, GroupTable)
+    _require_vector("conj_rep_character_from_matrices", mats, ExactMatrix)
     if len(mats) != group.order:
         raise ValueError("need one matrix per group element")
     keys = []

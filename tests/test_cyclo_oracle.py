@@ -289,15 +289,116 @@ def test_hs_inner_matches_the_entrywise_sum():
         for _ in range(4):
             x = ExactMatrix([[rand_entry(rng) for _ in range(cols)] for _ in range(rows)])
             y = ExactMatrix([[rand_entry(rng) for _ in range(cols)] for _ in range(rows)])
-            want = oracle.CycloNum(0)
-            for i in range(rows):
-                for j in range(cols):
-                    want = want + to_oracle(x[i, j]).conjugate() * to_oracle(y[i, j])
-            same(hs_inner(x, y), want)
+            same(hs_inner(x, y), oracle_hs(x, y))
     square = ExactMatrix([[CycloNum(1)] * 2] * 2)
     for other in (ExactMatrix([[CycloNum(1)] * 3] * 2), ExactMatrix([[CycloNum(1)] * 2] * 3)):
         with pytest.raises(ValueError):
             hs_inner(square, other)
+
+
+# ----------------------------------------------------------------------
+# the matrix kernels against triple loops in oracle arithmetic: apply sums
+# integer numerators in a loop of its own, and @ uses the CycloNum + and *
+# that test_matrices' dense references use too, so neither has an
+# independent reference there
+
+def oracle_matmul(a: ExactMatrix, b: ExactMatrix) -> list:
+    return [[sum((to_oracle(a[i, k]) * to_oracle(b[k, j]) for k in range(a.cols)),
+                 oracle.CycloNum(0))
+             for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def oracle_apply(m: ExactMatrix, v) -> list:
+    return [sum((to_oracle(m[i, j]) * to_oracle(v[j]) for j in range(m.cols)), oracle.CycloNum(0))
+            for i in range(m.rows)]
+
+
+def oracle_hs(x: ExactMatrix, y: ExactMatrix):
+    return sum((to_oracle(x[i, j]).conjugate() * to_oracle(y[i, j])
+                for i in range(x.rows) for j in range(x.cols)), oracle.CycloNum(0))
+
+
+def check_matrix_kernels(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix, v) -> None:
+    """a @ b, a.apply(v) and hs_inner(a, c) entry by entry against the oracle;
+    a is n x k, b is k x m, c is n x k and v has length k."""
+    product, want = a @ b, oracle_matmul(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            same(product[i, j], want[i][j])
+            assert_canonical(product[i, j])
+    got = a.apply(v)
+    assert len(got) == a.rows
+    for x, want_x in zip(got, oracle_apply(a, v)):
+        same(x, want_x)
+        assert_canonical(x)
+    for x, y in ((a, c), (a, a), (c, a)):
+        got = hs_inner(x, y)
+        same(got, oracle_hs(x, y))
+        assert_canonical(got)
+
+
+def rand_kernel_entry(rng: random.Random) -> CycloNum:
+    """Zero, a mixed-denominator value, or a value in Q(sqrt2)."""
+    kind = rng.random()
+    if kind < 0.25:
+        return CycloNum(0)
+    if kind < 0.5:
+        q, r = rand_fraction(rng), rand_fraction(rng)
+        return CycloNum(q, r, 0, -r)  # q + r*sqrt2
+    return CycloNum(*rand_coeffs(rng))
+
+
+def rand_kernel_matrix(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
+    """A random matrix whose row i0 and column j0 are zeroed, each half the time."""
+    entries = [[rand_kernel_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        entries[rng.randrange(rows)] = [CycloNum(0)] * cols
+    if rng.random() < 0.5:
+        j0 = rng.randrange(cols)
+        for row in entries:
+            row[j0] = CycloNum(0)
+    return ExactMatrix(entries)
+
+
+KERNEL_SHAPES = [(n, k, m) for n in range(1, 5) for k in range(1, 5) for m in range(1, 5)]
+
+
+def test_matrix_kernels_seeded_sweep_matches_oracle():
+    rng = random.Random(610)
+    for n, k, m in KERNEL_SHAPES:
+        for _ in range(3):
+            a, b, c = (rand_kernel_matrix(rng, n, k), rand_kernel_matrix(rng, k, m),
+                       rand_kernel_matrix(rng, n, k))
+            check_matrix_kernels(a, b, c, tuple(rand_kernel_entry(rng) for _ in range(k)))
+
+
+def test_matrix_kernels_edge_values_match_oracle():
+    z = zeta(1)
+    half_sqrt2 = CycloNum(0, Fraction(1, 2), 0, Fraction(-1, 2))
+    tiny = CycloNum(Fraction(1, 50), Fraction(-1, 49), Fraction(1, 48), Fraction(-1, 47))
+    big = CycloNum(50, -50, 50, -50)
+    zero, one = CycloNum(0), CycloNum(1)
+    matrices = [
+        ExactMatrix([[zero]]),
+        ExactMatrix([[tiny]]),
+        ExactMatrix.zeros(4, 4),
+        ExactMatrix.identity(4),
+        ExactMatrix([[half_sqrt2, half_sqrt2], [half_sqrt2, -half_sqrt2]]),  # Hadamard
+        ExactMatrix([[zero, zero, zero], [tiny, zero, big], [zero, zero, zero]]),
+        ExactMatrix([[zeta(k + 2 * j) for j in range(4)] for k in range(4)]),
+        ExactMatrix([[tiny, z, zero, big], [zero, zero, zero, zero],
+                     [SQRT2, zero, half_sqrt2, tiny], [big, zero, 1 + z, half_sqrt2]]),
+    ]
+    vectors = {n: [(zero,) * n, (one,) * n, (tiny, big, half_sqrt2, z)[:n],
+                   (big, zero, zero, tiny)[:n], tuple(zeta(3 * j) for j in range(n))]
+               for n in range(1, 5)}
+    for a in matrices:
+        for b in matrices:
+            if b.rows == a.cols:
+                for v in vectors[a.cols]:
+                    check_matrix_kernels(a, b, b.transpose() if a.rows == b.cols else a, v)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
 from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
+from repcheck.groups import builtin_group
 from repcheck.matrices import ExactMatrix, hs_inner, outer, proportionality, ray_key
+from repcheck.quantum import conj_rep_character_from_matrices, pauli_rep_on_k4
 
 RNG = random.Random(11)
 
@@ -221,6 +224,60 @@ def test_a_foreign_operand_is_python_s_type_error(other):
     for op in (operator.add, operator.sub, operator.matmul):
         with pytest.raises(TypeError, match="unsupported operand type"):
             op(m, other)
+
+
+# ----------------------------------------------------------------------
+# the checked boundary: a wrong-type operand is a TypeError naming the
+# function, never an AttributeError or a TypeError from inside a loop
+
+_V = (ONE, ZERO)
+_BAD = ("ab", (1, 2), None, 1.5)
+# outer and the first operand of proportionality take int and Fraction
+# entries too, so their bad tuple holds a str
+_BAD_SCALAR = ("ab", (1, "x"), None, 1.5)
+_BOUNDARY_CALLS = [
+    ("inner", lambda bad: inner(bad, _V), _BAD),
+    ("inner", lambda bad: inner(_V, bad), _BAD),
+    ("inner", lambda bad: inner(_V, _V, divisor=bad), _BAD),
+    ("hs_inner", lambda bad: hs_inner(bad, ExactMatrix.identity(2)), _BAD),
+    ("hs_inner", lambda bad: hs_inner(ExactMatrix.identity(2), bad), _BAD),
+    ("outer", lambda bad: outer(bad, _V), _BAD_SCALAR),
+    ("outer", lambda bad: outer(_V, bad), _BAD_SCALAR),
+    ("proportionality", lambda bad: proportionality(bad, _V), _BAD_SCALAR),
+    ("proportionality", lambda bad: proportionality(_V, bad), _BAD),
+    ("ray_key", ray_key, _BAD),
+    ("ExactMatrix.apply", lambda bad: ExactMatrix.identity(2).apply(bad), _BAD),
+    ("conj_rep_character_from_matrices",
+     lambda bad: conj_rep_character_from_matrices(bad, pauli_rep_on_k4()), _BAD),
+    ("conj_rep_character_from_matrices",
+     lambda bad: conj_rep_character_from_matrices(builtin_group("K4"), bad), _BAD),
+]
+
+
+@pytest.mark.parametrize("name,call,bad", [
+    *[pytest.param(name, call, bad, id=f"{name}-{k}-{bad!r}")
+      for k, (name, call, bads) in enumerate(_BOUNDARY_CALLS)
+      for bad in bads],
+    pytest.param("inner", lambda bad: inner(_V, _V, weights=bad), (Fraction(1, 2), 1),
+                 id="inner-Fraction-weight"),
+    pytest.param("inner", lambda bad: inner(_V, _V, weights=bad), (1.5, 1), id="inner-float-weight"),
+    pytest.param("inner", lambda bad: inner(_V, _V, divisor=bad), Fraction(3),
+                 id="inner-Fraction-divisor"),
+    pytest.param("ExactMatrix.apply", lambda bad: ExactMatrix.identity(2).apply(bad), (ONE, 2),
+                 id="ExactMatrix.apply-int-entry"),
+])
+def test_a_wrong_type_operand_is_a_type_error_naming_the_function(name, call, bad):
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} needs "):
+        call(bad)
+
+
+def test_outer_and_proportionality_take_int_and_fraction_entries():
+    half = Fraction(1, 2)
+    assert outer((1, half), (ONE, 2)) == outer((ONE, CycloNum(half)), (ONE, CycloNum(2)))
+    assert proportionality((2, 4), (ONE, CycloNum(2))) == CycloNum(2)
+    assert proportionality((half, 0), (I, ZERO)) == CycloNum(half) * I.conjugate()
+    assert proportionality((0, 0), (ZERO, ZERO)) == ONE
+    assert proportionality((1, 0), (ZERO, ZERO)) is None
 
 
 # ----------------------------------------------------------------------

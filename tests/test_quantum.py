@@ -479,6 +479,38 @@ def test_a_bare_amplitude_tuple_is_a_type_error(call):
         call((ONE, ZERO, ZERO, ONE))
 
 
+def _chain_into_a_zero_outcome():
+    """A one-round chain that selects a zero Kraus operator's outcome."""
+    _, inst = povm_construction()
+    padded = Instrument(labels=inst.labels + ("z",),
+                        kraus=inst.kraus + (ExactMatrix.zeros(4, 4),))
+    corrections = dict(standard_corrections(), z=("I", pauli(0)))
+    return iterate_swap_detailed(1, outcome_path=["z"], inst=padded, corrections=corrections)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: chsh_value(PureState((ONE, ZERO)), tsirelson_settings()),
+     ValueError, "CHSH needs a two-qubit state"),
+    (lambda: teleport(bell_state()), ValueError, "teleportation input must be a single qubit"),
+    (lambda: entanglement_swap(povm_construction()[1], left=PureState((ONE, ZERO, ONE))),
+     ValueError, "left leg must be a two-qubit state"),
+    (lambda: quantum.Effect("x", Fraction(0), PureState((ONE, ZERO))),
+     ValueError, "effect scale must be positive"),
+    (lambda: quantum.Effect("x", Fraction(-1, 2), PureState((ONE, ZERO))),
+     ValueError, "effect scale must be positive"),
+    (lambda: iterate_swap_detailed(0), ValueError, "rounds must be >= 1"),
+    (lambda: iterate_swap_detailed(3, outcome_path=["b0", "b1"]),
+     ValueError, "outcome_path supplies 2 outcomes for 3 rounds"),
+    (_chain_into_a_zero_outcome, ZeroState, "selected outcome z has zero probability"),
+    (lambda: conj_rep_character_from_matrices(builtin_group("K4"), pauli_rep_on_k4()[:3]),
+     ValueError, "need one matrix per group element"),
+], ids=["chsh_value", "teleport", "entanglement_swap", "Effect-zero", "Effect-negative",
+        "rounds", "outcome_path-length", "zero-probability", "conj_rep_character"])
+def test_a_wrong_shape_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # sha256 over the repr of every OutcomeRecord field that
 # test_protocol_records_are_pinned produces
 PROTOCOL_RECORDS_SHA256 = "7ff1fc4ff2ca5bf634389cab3b11ec358db28fad730b1084bf935c854f4d7929"
