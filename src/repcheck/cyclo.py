@@ -293,6 +293,9 @@ def inner(xs: Sequence[CycloNum], ys: Sequence[CycloNum],
             raise ValueError(f"divisor must be a positive integer, not {divisor}")
         if weights is None:
             weights = repeat(1, len(xs))
+        elif not all(isinstance(w, int) for w in weights):
+            # a None, "" or 0.0 weight would otherwise be skipped as zero
+            raise TypeError
         s0 = s1 = s2 = s3 = 0
         den = 1
         for w, x, y in zip(weights, xs, ys, strict=True):

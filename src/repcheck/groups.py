@@ -1,8 +1,10 @@
 """Finite groups as verified multiplication tables.
 
 Elements are indices 0..order-1; index 0 is always the identity.  Every
-table is checked exhaustively at construction (Latin square, associativity,
-identity, inverses), which is cheap at the orders used here (<= 16).
+table is checked at construction: Latin square and identity entry by entry,
+associativity by Light's test.  That test, the isomorphism search, the
+centre and ``quantum``'s matrix groups check a law only where one factor is
+a generator of one walk (``_walk``), which proves it for every pair.
 
 Built-ins: K4, Z4, D4, D8 and the 16-element single-qubit Pauli group.
 Canonical element words fix the iteration order; conjugacy-class
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 
@@ -59,15 +61,18 @@ class GroupTable:
         for j in range(n):
             if {self.mul_table[i][j] for i in range(n)} != full:
                 raise GroupError(f"{self.name}: multiplication table is not a Latin square")
-        e = 0
+        mul = self.mul_table
         for a in range(n):
-            if self.mul_table[e][a] != a or self.mul_table[a][e] != a:
+            if mul[0][a] != a or mul[a][0] != a:
                 raise GroupError(f"{self.name}: element 0 is not a two-sided identity")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul_table[a][b]
+        # Light's test: the b with (a b) c = a (b c) for all a, c are closed
+        # under the product, so checking the generators proves associativity
+        self._gens, _, self._steps = _walk(n, lambda s: [row[s] for row in mul])
+        for b in self._gens:
+            for a in range(n):
+                ab = mul[a][b]
                 for c in range(n):
-                    if self.mul_table[ab][c] != self.mul_table[a][self.mul_table[b][c]]:
+                    if mul[ab][c] != mul[a][mul[b][c]]:
                         raise GroupError(f"{self.name}: associativity fails at ({a},{b},{c})")
 
     # ------------------------------------------------------------------
@@ -115,9 +120,35 @@ class GroupTable:
         return "\n".join(lines)
 
 
-def _require(caller: str, x, cls: type) -> None:
+def _walk(n: int, column: Callable[[int], Sequence[int]]) -> tuple[list, list, list]:
+    """One breadth-first walk from element 0 of n, column(s) listing x * s
+    for every x.  Each time it stalls, the lowest-index element it missed
+    becomes the next generator and the walk starts over.  Returns the
+    generators, their columns, and each other non-zero y as (y, x, i) with
+    y = x * generators[i], x reached first.  It ends on any input."""
+    gens, cols, steps = [], [], []
+    known, pos = [0], 0
+    while len(known) < n:
+        if pos == len(known):
+            s = next(x for x in range(n) if x not in known)
+            gens.append(s)
+            cols.append(column(s))
+            known.append(s)
+            pos = 0
+        x = known[pos]
+        pos += 1
+        for i, col in enumerate(cols):
+            y = col[x]
+            if y not in known:
+                known.append(y)
+                steps.append((y, x, i))
+    return gens, cols, steps
+
+
+def _require(caller: str, x, cls: "type | tuple[type, ...]") -> None:
     if not isinstance(x, cls):
-        raise TypeError(f"{caller} needs a {cls.__name__}, got {type(x).__name__}")
+        names = " or ".join(k.__name__ for k in (cls if isinstance(cls, tuple) else (cls,)))
+        raise TypeError(f"{caller} needs a {names}, got {type(x).__name__}")
 
 
 class ConjClassPartition(Record):
@@ -188,11 +219,11 @@ def conjugacy_classes(g: GroupTable) -> ConjClassPartition:
 
 
 def center(g: GroupTable) -> tuple[int, ...]:
-    """Elements commuting with everything, in index order."""
+    """Elements commuting with each generator, so with everything, in index order."""
     _require("center", g, GroupTable)
     return tuple(
         a for a in g.elements()
-        if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())
+        if all(g.mul(a, s) == g.mul(s, a) for s in g._gens)
     )
 
 
@@ -228,39 +259,24 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> GroupHom:
     _require("find_isomorphism", b, GroupTable)
     if a.order != b.order:
         raise IsoNotFound(f"|{a.name}| = {a.order} != {b.order} = |{b.name}|")
-    # one breadth-first walk from the identity records each element as
-    # (earlier element) * generator; when it stalls short of the whole group,
-    # the lowest-index element it missed becomes the next generator, and the
-    # walk starts over with it
-    gens: list[int] = []
-    expr: dict[int, tuple[int, int]] = {}
-    known = [0]
-    pos = 0
-    while len(known) < a.order:
-        if pos == len(known):
-            gens.append(next(x for x in range(1, a.order) if x not in expr))
-            pos = 0
-        x = known[pos]
-        pos += 1
-        for gi, s in enumerate(gens):
-            y = a.mul(x, s)
-            if y != 0 and y not in expr:
-                expr[y] = (x, gi)
-                known.append(y)
-
     orders_b: dict[int, list[int]] = {}
     for x in b.elements():
         orders_b.setdefault(b.element_order(x), []).append(x)
 
-    # generator images in lexicographic order, each of the right element order
+    # generator images in lexicographic order, each of the right element order;
+    # phi follows the walk, and phi(x s) = phi(x) phi(s) for the generators s
+    # proves it a hom, as the g for which it holds for all x are closed
+    gens = a._gens
     for images in product(*(orders_b.get(a.element_order(s), []) for s in gens)):
         phi = [0] * a.order
-        for x in known[1:]:
-            prev, gi = expr[x]
-            phi[x] = b.mul(phi[prev], images[gi])
-        h = GroupHom(source=a, target=b, image=tuple(phi))
-        if len(set(phi)) == a.order and verify_hom(h):
-            return h
+        for s, img in zip(gens, images):
+            phi[s] = img
+        for y, x, i in a._steps:
+            phi[y] = b.mul(phi[x], images[i])
+        if len(set(phi)) == a.order and all(
+            phi[a.mul(x, s)] == b.mul(phi[x], phi[s]) for s in gens for x in a.elements()
+        ):
+            return GroupHom(source=a, target=b, image=tuple(phi))
     raise IsoNotFound(f"no isomorphism {a.name} -> {b.name}")
 
 

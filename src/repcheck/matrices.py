@@ -9,8 +9,9 @@ numerators over one running denominator, reduced once.  ``ray_key``
 scales a matrix so its first non-zero entry is 1, one key per ray.  The
 public constructor coerces entries to CycloNum and refuses ragged rows;
 results built inside the class skip both steps.  ``apply``, ``hs_inner``,
-``outer``, ``proportionality`` and ``ray_key`` give a TypeError naming
-themselves on a wrong-type operand.
+``outer``, ``proportionality``, ``ray_key`` and the methods ``diag``,
+``scale`` and ``tensor`` give a TypeError naming themselves on a wrong-type
+operand.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class ExactMatrix:
 
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> ExactMatrix:
+        _require("ExactMatrix.diag", values, (tuple, list))
         n = len(values)
         return cls([[x if i == j else ZERO for j in range(n)] for i, x in enumerate(values)])
 
@@ -102,6 +104,7 @@ class ExactMatrix:
         return self._map(CycloNum.__sub__, other)
 
     def scale(self, c: Scalar) -> ExactMatrix:
+        _require("ExactMatrix.scale", c, _SCALARS)
         return self._map(as_cyclo(c).__mul__)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
@@ -140,6 +143,7 @@ class ExactMatrix:
 
     def tensor(self, other: ExactMatrix) -> ExactMatrix:
         """Kronecker product; row-major qubit convention."""
+        _require("ExactMatrix.tensor", other, ExactMatrix)
         width = other.cols
         out = []
         for ra in self.entries:

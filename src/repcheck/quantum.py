@@ -33,8 +33,9 @@ Instrument.
 Both matrix groups are tabulated by one builder: the corrections mod
 phases, where ``matrices.ray_key`` identifies matrices that are equal up to
 a scalar, and the 16 matrices i^k sigma_j, laid out at Pauli1's indices and
-compared with its hard-coded table entry for entry.  The conjugation
-character of a matrix assignment is tr(U x conj U) per element.
+compared with its hard-coded table entry for entry; it multiplies matrices
+only for the generators' columns.  The conjugation character of a matrix
+assignment is tr(U x conj U) = |tr U|^2 per element.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .cyclo import (
     CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, _require_vector, inner, sqrt_of_fraction,
 )
 from .groups import (
-    GroupHom, GroupTable, _require, builtin_group, conjugacy_classes, find_isomorphism,
+    GroupHom, GroupTable, _require, _walk, builtin_group, conjugacy_classes, find_isomorphism,
 )
 from .matrices import ExactMatrix, Vector, outer, proportionality, ray_key
 
@@ -102,6 +103,7 @@ class PureState(Record):
         return all(a.is_zero() for a in self.vector)
 
     def proportional_to(self, other: PureState) -> "CycloNum | None":
+        _require("PureState.proportional_to", other, PureState)
         return proportionality(self.vector, other.vector)
 
 
@@ -506,16 +508,29 @@ def _table(
 ) -> GroupTable:
     """The group of mats under @, labelled by words, with matrices identified
     when their keys are equal.  Refuses two elements with one key and a
-    product whose key is not among them; one dict probe per product."""
+    product whose key is not among them.  Only the columns of mats[0] and of
+    the walk's generators are matrix products; mul[a][x s] = col_s[mul[a][x]]
+    fills the rest, as @ is associative and a product's key depends only on
+    its factors' keys, so no product escapes if none in these columns does."""
     index: dict[ExactMatrix, int] = {}
     for i, m in enumerate(mats):
         j = index.setdefault(key(m), i)
         if j != i:
             raise ValueError(f"{name}: {words[j]} and {words[i]} are one element")
-    try:
-        mul = [[index[key(a @ b)] for b in mats] for a in mats]
-    except KeyError:
-        raise ValueError(f"{name}: a product escapes the set") from None
+
+    def column(s: int) -> list[int]:
+        try:
+            return [index[key(m @ mats[s])] for m in mats]
+        except KeyError:
+            raise ValueError(f"{name}: a product escapes the set") from None
+
+    mul = [[x] + [0] * (len(mats) - 1) for x in column(0)]
+    gens, cols, steps = _walk(len(mats), column)
+    for a, row in enumerate(mul):
+        for s, col in zip(gens, cols):
+            row[s] = col[a]
+        for y, x, i in steps:
+            row[y] = cols[i][row[x]]
     return GroupTable(name, mul, words)
 
 
@@ -584,12 +599,14 @@ def pvm_counting_check() -> str:
 def conj_rep_character_from_matrices(
     group: GroupTable, mats: Sequence[ExactMatrix]
 ) -> ClassFunction:
-    """Trace of X -> U X U^dag per group element, read as tr(U x conj U):
-    on row-major vec(X) the map is U x conj U.
+    """Trace of X -> U X U^dag per group element: on row-major vec(X) the
+    map is U x conj U, whose trace is tr U * conj(tr U) = |tr U|^2.
 
-    Accepts projective assignments (group law up to a scalar).  The result
-    is checked to be constant on conjugacy classes before it is returned as
-    a class function.
+    Accepts projective assignments (group law up to a scalar), checked as
+    U[s] U[h] on U[sh]'s ray for s = e and each generator: the s for which
+    it holds for all h are closed under the product, with no U assumed
+    invertible.  The result is checked to be constant on conjugacy classes
+    before it is returned as a class function.
     """
     _require("conj_rep_character_from_matrices", group, GroupTable)
     _require_vector("conj_rep_character_from_matrices", mats, ExactMatrix)
@@ -601,7 +618,7 @@ def conj_rep_character_from_matrices(
             keys.append(ray_key(mats[g]))
         except ValueError:
             raise NotProjectiveRep(f"U[{group.word(g)}] is the zero matrix") from None
-    for g in group.elements():
+    for g in (0, *group._gens):
         for h in group.elements():
             product = mats[g] @ mats[h]
             try:
@@ -614,7 +631,7 @@ def conj_rep_character_from_matrices(
                     f"U[{group.word(group.mul(g, h))}]"
                 )
 
-    per_element = [u.tensor(u.conj()).trace() for u in mats]
+    per_element = [u.trace().abs_sq() for u in mats]
 
     cc = conjugacy_classes(group)
     for cl in cc.classes:

@@ -1,7 +1,10 @@
 """Group tables, conjugacy structure, quotients and homomorphisms."""
 
+from itertools import product
+
 import pytest
 
+from repcheck import groups, quantum
 from repcheck.groups import (
     BUILTIN_NAMES,
     GroupError,
@@ -210,6 +213,71 @@ def test_group_table_rejects_corrupt_data():
     loop = [[int(c) for c in row] for row in ("01234", "10342", "24013", "32401", "43120")]
     with pytest.raises(GroupError, match="bad: associativity fails at "):
         GroupTable("bad", loop, ["e", "a", "b", "c", "d"])
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in rows]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in rows[i][:j] and all(rows[r][j] != v for r in range(i)):
+                rows[i][j] = v
+                yield from fill(k + 1)
+        rows[i][j] = None
+
+    return list(fill(0))
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56)])
+def test_lights_test_agrees_with_the_cubic_loop_on_every_reduced_latin_square(n, count):
+    """Oracle: the n^3 associativity loop.  Light's test checks the middle
+    factor on generators only; it must accept and refuse the same squares,
+    and name a triple at which the loop fails too."""
+    squares = _reduced_latin_squares(n)
+    assert len(squares) == count
+    words = [str(x) for x in range(n)]
+    for mul in squares:
+        failures = [(a, b, c) for a, b, c in product(range(n), repeat=3)
+                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]]
+        if not failures:
+            GroupTable("sq", mul, words)
+            continue
+        with pytest.raises(GroupError, match=r"^sq: associativity fails at \(\d+,\d+,\d+\)$") as info:
+            GroupTable("sq", mul, words)
+        named = tuple(int(x) for x in str(info.value).split("(")[1].rstrip(")").split(","))
+        assert named in failures
+
+
+def test_find_isomorphism_keeps_its_images_on_all_five_uses(monkeypatch):
+    """The images the all-pairs search found before generators sufficed:
+    checking phi(x s) = phi(x) phi(s) on generators s picks the same first
+    bijection, and verify_hom, which checks all pairs, accepts each one."""
+    found = []
+
+    def recording(a, b):
+        h = find_isomorphism(a, b)
+        found.append((a.name, b.name, h.image))
+        assert verify_hom(h)
+        return h
+
+    monkeypatch.setattr(groups, "find_isomorphism", recording)
+    monkeypatch.setattr(quantum, "find_isomorphism", recording)
+    for big, small in (("D4", "K4"), ("D8", "D4"), ("Pauli1", "K4")):
+        central_quotient.__wrapped__(builtin_group(big), builtin_group(small))
+    quantum.correction_group_check()
+    assert found == [
+        ("D4/Z", "K4", (0, 1, 2, 3)),
+        ("D8/Z", "D4", (0, 1, 2, 3, 4, 5, 6, 7)),
+        ("Pauli1/Z", "K4", (0, 1, 2, 3)),
+        ("corrections/phases", "D4", (0, 4, 6, 2, 1, 5, 7, 3)),
+        ("paulis/phases", "K4", (0, 1, 2, 3)),
+    ]
 
 
 def test_one_table_under_other_words_is_another_group():

@@ -11,7 +11,7 @@ import pytest
 from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
 from repcheck.groups import builtin_group
 from repcheck.matrices import ExactMatrix, hs_inner, outer, proportionality, ray_key
-from repcheck.quantum import conj_rep_character_from_matrices, pauli_rep_on_k4
+from repcheck.quantum import bell_state, conj_rep_character_from_matrices, pauli_rep_on_k4
 
 RNG = random.Random(11)
 
@@ -247,6 +247,12 @@ _BOUNDARY_CALLS = [
     ("proportionality", lambda bad: proportionality(_V, bad), _BAD),
     ("ray_key", ray_key, _BAD),
     ("ExactMatrix.apply", lambda bad: ExactMatrix.identity(2).apply(bad), _BAD),
+    ("ExactMatrix.tensor", lambda bad: ExactMatrix.identity(2).tensor(bad), _BAD),
+    ("ExactMatrix.scale", lambda bad: ExactMatrix.identity(2).scale(bad), _BAD),
+    # a tuple of scalars is a valid diagonal
+    ("ExactMatrix.diag", ExactMatrix.diag, ("ab", None, 1.5)),
+    ("PureState.proportional_to", lambda bad: bell_state().proportional_to(bad),
+     (*_BAD, (ONE,) * 4)),
     ("conj_rep_character_from_matrices",
      lambda bad: conj_rep_character_from_matrices(bad, pauli_rep_on_k4()), _BAD),
     ("conj_rep_character_from_matrices",
@@ -261,6 +267,10 @@ _BOUNDARY_CALLS = [
     pytest.param("inner", lambda bad: inner(_V, _V, weights=bad), (Fraction(1, 2), 1),
                  id="inner-Fraction-weight"),
     pytest.param("inner", lambda bad: inner(_V, _V, weights=bad), (1.5, 1), id="inner-float-weight"),
+    # a zero-like weight is refused too, not skipped as a zero term
+    *[pytest.param("inner", lambda bad: inner((ONE,), (ONE,), weights=bad), (w,),
+                   id=f"inner-{w!r}-weight")
+      for w in (None, "", 0.0, Fraction(0))],
     pytest.param("inner", lambda bad: inner(_V, _V, divisor=bad), Fraction(3),
                  id="inner-Fraction-divisor"),
     pytest.param("ExactMatrix.apply", lambda bad: ExactMatrix.identity(2).apply(bad), (ONE, 2),

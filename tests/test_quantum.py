@@ -11,9 +11,9 @@ import pytest
 
 from repcheck.characters import char_table, conj_character
 from repcheck.cyclo import CycloNum, I, INV_SQRT2, ONE, SQRT2, ZERO, inner
-from repcheck.groups import builtin_group, verify_hom
+from repcheck.groups import GroupError, builtin_group, verify_hom
 from repcheck import quantum
-from repcheck.matrices import ExactMatrix, hs_inner
+from repcheck.matrices import ExactMatrix, hs_inner, ray_key
 from repcheck.quantum import (
     IncompleteInstrument,
     Instrument,
@@ -786,8 +786,49 @@ def test_matrix_group_mod_phases_refuses_bad_seed_sets():
     with pytest.raises(ValueError, match="one element"):
         matrix_group_mod_phases([("I", pauli(0)), ("X", x), ("iX", x.scale(I))], "bad")
     # S*S = Z lies on neither ray
-    with pytest.raises(ValueError, match="escapes"):
+    with pytest.raises(ValueError, match="^bad: a product escapes the set$"):
         matrix_group_mod_phases([("I", pauli(0)), ("S", s)], "bad")
+    # a first seed off the identity's ray: the walk still ends, and the
+    # table, the same as from all pairs, has no identity at 0
+    with pytest.raises(GroupError, match="^bad: element 0 is not a two-sided identity$"):
+        matrix_group_mod_phases([("X", x), ("I", pauli(0))], "bad")
+
+
+def _seed_sets():
+    """(name, words, matrices, key) of the three tables correction_group_check builds."""
+    seeds = [seed for _, seed in quantum._STANDARD_CORRECTIONS]
+    p1 = builtin_group("Pauli1")
+    paulis = [m.scale(phase) for _, m in seeds[:4] for phase in (ONE, I, -ONE, -I)]
+    return [
+        ("corrections/phases", [w for w, _ in seeds], [m for _, m in seeds], ray_key),
+        ("PauliMatrices", p1.element_words, paulis, lambda m: m),
+        ("paulis/phases", [w for w, _ in seeds[:4]], [m for _, m in seeds[:4]], ray_key),
+    ]
+
+
+@pytest.mark.parametrize("name,words,mats,key", _seed_sets(),
+                         ids=["corrections", "pauli-matrices", "paulis"])
+def test_the_table_builder_matches_the_all_pairs_products(name, words, mats, key):
+    """Oracle: every product a @ b looked up by key.  The builder multiplies
+    only for the first seed's and the generators' columns."""
+    index = {key(m): i for i, m in enumerate(mats)}
+    all_pairs = tuple(tuple(index[key(a @ b)] for b in mats) for a in mats)
+    assert quantum._table(name, words, mats, key).mul_table == all_pairs
+
+
+_SHEAR = ExactMatrix([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("name,mats", [("K4", pauli_rep_on_k4()), ("D8", lifted_correction_rep_on_d8())])
+def test_a_non_monomial_matrix_at_any_element_is_not_projective(name, mats):
+    """The law is checked with e and each generator on the left only; a shear
+    in place of any one matrix, generator or not, must still be caught."""
+    g = builtin_group(name)
+    assert [g.word(s) for s in g._gens] == {"K4": ["a", "b"], "D8": ["z", "h"]}[name]
+    for k in g.elements():
+        broken = mats[:k] + (_SHEAR,) + mats[k + 1:]
+        with pytest.raises(NotProjectiveRep, match=r"^U\[\w+\] U\[\w+\] is not proportional to U\[\w+\]$"):
+            conj_rep_character_from_matrices(g, broken)
 
 
 def test_pvm_counting_line():
