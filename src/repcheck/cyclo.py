@@ -59,11 +59,15 @@ def _ratio(c) -> tuple[int, int]:
     """(numerator, denominator) of a rational coefficient, in lowest terms."""
     if type(c) is int:
         return c, 1
-    if isinstance(c, float):
-        # a binary float is not the decimal it was typed as: 0.1 is not 1/10
-        raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
     if type(c) is not Fraction:
-        c = Fraction(c)  # bools, int and Fraction subclasses, strings
+        try:
+            # a binary float is not the decimal it was typed as (0.1 is not
+            # 1/10), and text is not a number, though Fraction parses both
+            if isinstance(c, (float, str)):
+                raise TypeError
+            c = Fraction(c)  # bools, int and Fraction subclasses, Decimal and other Rationals
+        except TypeError:
+            raise TypeError(f"CycloNum coefficients must be exact rationals, got {type(c).__name__}") from None
     return c.numerator, c.denominator
 
 

@@ -8,10 +8,10 @@ entries once per matrix and sums each entry of M v on their integer
 numerators over one running denominator, reduced once.  ``ray_key``
 scales a matrix so its first non-zero entry is 1, one key per ray.  The
 public constructor coerces entries to CycloNum and refuses ragged rows;
-results built inside the class skip both steps.  ``apply``, ``hs_inner``,
-``outer``, ``proportionality``, ``ray_key`` and the methods ``diag``,
-``scale`` and ``tensor`` give a TypeError naming themselves on a wrong-type
-operand.
+results built inside the class skip both steps.  The constructor,
+``apply``, ``hs_inner``, ``outer``, ``proportionality``, ``ray_key`` and
+the methods ``diag``, ``scale`` and ``tensor`` give a TypeError naming
+themselves on a wrong-type operand.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_hash", "_terms")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(as_cyclo(x) for x in row) for row in entries)
+        rows = _coerced("ExactMatrix", entries)
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
@@ -69,8 +69,10 @@ class ExactMatrix:
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> ExactMatrix:
         _require("ExactMatrix.diag", values, (tuple, list))
+        (values,) = _coerced("ExactMatrix.diag", (values,))
         n = len(values)
-        return cls([[x if i == j else ZERO for j in range(n)] for i, x in enumerate(values)])
+        return cls._of(tuple(tuple(x if i == j else ZERO for j in range(n))
+                             for i, x in enumerate(values)), n)
 
     def __getitem__(self, ij: tuple[int, int]) -> CycloNum:
         i, j = ij
@@ -220,6 +222,15 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
+def _coerced(caller: str, entries: Iterable[Iterable[Scalar]]) -> tuple[Vector, ...]:
+    """entries as tuple rows of CycloNum; a wrong entry is a TypeError naming caller."""
+    try:
+        return tuple(tuple(as_cyclo(x) for x in row) for row in entries)
+    except TypeError as exc:
+        # reached only on a wrong entry, so the loop above pays no check
+        raise TypeError(f"{caller}: {exc}") from None
+
+
 def _total(terms: list[CycloNum]) -> CycloNum:
     """The sum of terms, starting from the first rather than from ZERO."""
     return reduce(add, terms) if terms else ZERO
@@ -258,7 +269,7 @@ def proportionality(v: Vector, w: Vector) -> "CycloNum | None":
     pivot = next((i for i, x in enumerate(w) if not x.is_zero()), None)
     if pivot is None:
         return None if any(x != 0 for x in v) else ONE
-    c = v[pivot] / w[pivot]
+    c = v[pivot] * w[pivot].inverse()
     return c if all(x == c * y for x, y in zip(v, w)) else None
 
 

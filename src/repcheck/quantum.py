@@ -23,7 +23,12 @@ once per class.  That is exact because CHSH is invariant under a non-zero
 scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
 
 The fixed operators (Paulis, phase gate, Bell basis and its pair
-operators, corrections) are built once at import.  The POVM and its
+operators, corrections) are built once at import, and so is the swap
+caches' key for the standard corrections: a swap with ``corrections=None``
+checks only that they cover the instrument's labels, while a caller's own
+table is checked and keyed on every call.  The states the protocols
+compute are wrapped with ``PureState._of``, so their amplitudes are not
+re-checked; a caller's state is checked by ``PureState``.  The POVM and its
 instrument are built and checked once per distinct Bell basis and phase
 gate; each effect's matrix is derived from its scale and vector, and each
 Kraus operator is sqrt2 times its effect.  ``povm_construction`` returns a
@@ -95,6 +100,14 @@ class PureState(Record):
                 raise TypeError(f"state amplitudes must be CycloNum, got {type(a).__name__}")
         self.__dict__["vector"] = vector
 
+    @classmethod
+    def _of(cls, vector: Vector) -> PureState:
+        """A state from a tuple of CycloNum, unchecked: for vectors the
+        package has just computed."""
+        state = object.__new__(cls)
+        state.__dict__["vector"] = vector
+        return state
+
     @property
     def dim(self) -> int:
         return len(self.vector)
@@ -127,6 +140,19 @@ _STANDARD_CORRECTIONS = tuple(
     + [(f"a{k}", ("S" if k == 0 else f"S{PAULI_LABELS[k]}", _S @ _PAULIS[k]))
        for k in range(4)]
 )
+
+
+def _correction_key(corrections: Mapping[str, tuple[str, ExactMatrix]]) -> tuple:
+    """(label, correction label, matrix) per outcome, sorted by label: the
+    swap caches' key for a corrections table."""
+    return tuple(sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
+                        key=lambda item: item[0]))
+
+
+# built from 2x2 matrices above, so a swap with corrections=None checks only
+# that the table covers the instrument's labels
+_STANDARD_TABLE = dict(_STANDARD_CORRECTIONS)
+_STANDARD_KEY = _correction_key(_STANDARD_TABLE)
 
 
 def pauli(k: int) -> ExactMatrix:
@@ -231,12 +257,12 @@ def teleport(state: PureState) -> ProtocolTrace:
     for k, pair_op in enumerate(_BELL_PAIR_OPERATORS):
         cond = pair_op.apply(state.vector)
         prob = (inner(cond, cond) * inv_total).as_fraction()
-        post = PureState(pauli(k).apply(cond))
+        post = PureState._of(pauli(k).apply(cond))
         records.append(
             OutcomeRecord(
                 label=str(k),
                 probability=prob,
-                conditional=PureState(cond),
+                conditional=PureState._of(cond),
                 correction_label=PAULI_LABELS[k],
                 post=post,
                 chsh=None,
@@ -338,8 +364,9 @@ def entanglement_swap(
     """
     if not isinstance(inst, Instrument):
         raise TypeError(f"entanglement_swap needs an Instrument, got {type(inst).__name__}")
-    if corrections is None:
-        corrections = standard_corrections()
+    standard = corrections is None
+    if standard:
+        corrections = _STANDARD_TABLE
     if left is None:
         left = bell_state()
     if not isinstance(left, PureState):
@@ -350,6 +377,8 @@ def entanglement_swap(
     if missing:
         raise ValueError(f"corrections lack outcome labels {missing}; "
                          f"the instrument's labels are {list(inst.labels)}")
+    if standard:
+        return _swap_cached(inst, _STANDARD_KEY, left.vector)
     for lbl in inst.labels:
         corr = corrections[lbl][1]
         if not isinstance(corr, ExactMatrix):
@@ -357,11 +386,7 @@ def entanglement_swap(
                             f"got {type(corr).__name__}")
         if (corr.rows, corr.cols) != (2, 2):
             raise ValueError(f"the correction of outcome {lbl} is {corr.rows}x{corr.cols}, not 2x2")
-    corr_key = tuple(
-        sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
-               key=lambda item: item[0])
-    )
-    return _swap_cached(inst, corr_key, left.vector)
+    return _swap_cached(inst, _correction_key(corrections), left.vector)
 
 
 @lru_cache(maxsize=8)
@@ -415,8 +440,8 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
         # only the probability is rational
         prob = (pp * uu * inv_total).as_fraction()
         if prob == 0:
-            records.append(OutcomeRecord(label, prob, PureState((ZERO,) * 4),
-                                         corr_label, PureState((ZERO,) * 4), None))
+            zero = PureState._of((ZERO,) * 4)
+            records.append(OutcomeRecord(label, prob, zero, corr_label, zero, None))
             continue
         # one scalar makes the first non-zero entry 1, so chained rounds reuse
         # a few cache keys, then the norm 1 where its root lies in Q(zeta_8)
@@ -425,12 +450,12 @@ def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> Prot
         if root is not None:
             scale = scale * root.inverse()
         cond = tuple(scale * a for a in pair)
-        post = PureState(corr.apply(cond[:2]) + corr.apply(cond[2:]))
+        post = PureState._of(corr.apply(cond[:2]) + corr.apply(cond[2:]))
         # a zero post reaches chsh_value, which refuses it
         chsh = chsh_of_class.get(cls)
         if chsh is None:
             chsh = chsh_of_class[cls] = chsh_value(post, settings)
-        records.append(OutcomeRecord(label, prob, PureState(cond), corr_label, post, chsh))
+        records.append(OutcomeRecord(label, prob, PureState._of(cond), corr_label, post, chsh))
     return ProtocolTrace(tuple(records))
 
 

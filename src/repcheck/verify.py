@@ -33,7 +33,7 @@ from .classify import (
     k4_target_pulled_to_d4,
     seven_families,
 )
-from .cyclo import CycloNum, ONE, inner
+from .cyclo import CycloNum, ONE, _reduced, inner
 from .groups import (
     BUILTIN_NAMES,
     builtin_group,
@@ -85,13 +85,14 @@ class CheckResult(Record):
     detail: str
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def _rand_cyclo(rng: random.Random) -> CycloNum:
-    # random a + b*i with rational a, b
-    return CycloNum(_rand_fraction(rng), 0, _rand_fraction(rng), 0)
+    # a + b*i, each num/den with num in -9..9, den in 1..9: the value of
+    # CycloNum(Fraction(an, ad), 0, Fraction(bn, bd), 0) from the same four
+    # draws, so samples and rng stream are unchanged, built on integers
+    # without two Fractions and the constructor's lcm per sample
+    an, ad = rng.randint(-9, 9), rng.randint(1, 9)
+    bn, bd = rng.randint(-9, 9), rng.randint(1, 9)
+    return _reduced(an * bd, 0, bn * ad, 0, ad * bd)
 
 
 def _rand_matrix(rng: random.Random, n: int) -> ExactMatrix:
@@ -252,10 +253,11 @@ def _check_povm() -> str:
     from .quantum import phase_gate
 
     s = phase_gate()
-    for j in range(4):
-        for k in range(4):
+    products = [s @ pauli(j) for j in range(4)]
+    for j, sj in enumerate(products):
+        for k, sk in enumerate(products):
             expected = CycloNum(2 if j == k else 0)
-            _require(hs_inner(s @ pauli(j), s @ pauli(k)) == expected)
+            _require(hs_inner(sj, sk) == expected)
     return "8 effects sum to identity; Kraus complete; tr((S sj)^dag S sk) = 2 delta_jk"
 
 
@@ -325,10 +327,11 @@ def _check_hs_unitarity() -> str:
     rng = random.Random(_RNG_SEED + 1)
     unitaries = [m for _, (_, m) in standard_corrections().items()]
     for u in unitaries:
+        u_dag = u.dagger()
         for _ in range(3):
             x = _rand_matrix(rng, 2)
             y = _rand_matrix(rng, 2)
-            _require(hs_inner(u @ x @ u.dagger(), u @ y @ u.dagger()) == hs_inner(x, y))
+            _require(hs_inner(u @ x @ u_dag, u @ y @ u_dag) == hs_inner(x, y))
     return "conjugation by each correction preserves the HS inner product on random inputs"
 
 

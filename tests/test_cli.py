@@ -3,15 +3,18 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from repcheck import cli
+from repcheck import cli, verify
 from repcheck.characters import _RAW_TABLES
 from repcheck.classify import classify_all
+from repcheck.cyclo import CycloNum
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -309,6 +312,20 @@ def test_a_broken_pinned_fact_fails_its_check_under_optimize_flag():
     )
     assert proc.returncode == 1
     assert "repcheck.verify.CheckFailed" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1, verify._RNG_SEED, verify._RNG_SEED + 1, verify._RNG_SEED + 2])
+def test_sampled_values_are_those_of_two_fractions_on_the_same_stream(seed):
+    # 5 x 250 draws: the battery's values and its rng stream are those of
+    # CycloNum(Fraction, 0, Fraction, 0) from the same four randint calls
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(250):
+        x = verify._rand_cyclo(ours)
+        a = Fraction(theirs.randint(-9, 9), theirs.randint(1, 9))
+        b = Fraction(theirs.randint(-9, 9), theirs.randint(1, 9))
+        expected = CycloNum(a, 0, b, 0)
+        assert (x._n, x._d) == (expected._n, expected._d)
+    assert ours.getstate() == theirs.getstate()
 
 
 def _assert_refused(capsys, code):

@@ -209,6 +209,10 @@ def test_group_table_rejects_corrupt_data():
         GroupTable("bad", [[0, 1], [1, 0]], ["e", "g", "h"])
     with pytest.raises(GroupError, match="bad: multiplication table is not a Latin square$"):
         GroupTable("bad", [[0, 1], [0, 1]], ["e", "g"])  # rows permute, column 0 does not
+    # columns permute, rows do not; without the row check it fails later, at
+    # the identity
+    with pytest.raises(GroupError, match="bad: multiplication table is not a Latin square$"):
+        GroupTable("bad", [[0, 0], [1, 1]], ["e", "g"])
     # a Latin square with identity 0 whose product is not associative
     loop = [[int(c) for c in row] for row in ("01234", "10342", "24013", "32401", "43120")]
     with pytest.raises(GroupError, match="bad: associativity fails at "):

@@ -424,3 +424,13 @@ def test_a_binary_float_entry_is_refused():
         ExactMatrix.diag([ONE, 0.5])
     with pytest.raises(TypeError, match="got float$"):
         ExactMatrix.identity(2).scale(0.5)
+
+
+def test_a_text_entry_is_refused_with_the_constructors_name():
+    # Fraction would parse "1/2" as one half; an entry is a number, not text
+    with pytest.raises(TypeError, match="^ExactMatrix: CycloNum coefficients must be exact rationals, got str$"):
+        ExactMatrix([["a"]])
+    with pytest.raises(TypeError, match="^ExactMatrix: .* got str$"):
+        ExactMatrix([[ONE, ZERO], [ZERO, "1/2"]])
+    with pytest.raises(TypeError, match="^ExactMatrix.diag: CycloNum coefficients must be exact rationals, got str$"):
+        ExactMatrix.diag([ONE, "a"])

@@ -409,6 +409,27 @@ def test_swap_names_the_outcome_labels_its_corrections_lack():
     broken = Instrument(labels=inst.labels[:7], kraus=inst.kraus[:7])
     with pytest.raises(ValueError, match="lack outcome labels"):
         entanglement_swap(broken, corrections={"b0": ("I", pauli(0))})
+    # the standard table, used when no corrections are given, is checked too
+    renamed = Instrument(labels=("x",) + inst.labels[1:], kraus=inst.kraus)
+    message = f"corrections lack outcome labels ['x']; the instrument's labels are {list(renamed.labels)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entanglement_swap(renamed)
+
+
+def test_the_standard_corrections_swap_as_the_same_table_passed_in():
+    _, inst = povm_construction()
+    rng = random.Random(5)
+    lefts = [bell_state()] + [
+        PureState(tuple(CycloNum(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0,
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 0)
+                        for _ in range(4)))
+        for _ in range(20)
+    ]
+    for left in lefts:
+        quantum._swap_cached.cache_clear()
+        by_default = entanglement_swap(inst, left=left)
+        quantum._swap_cached.cache_clear()
+        assert entanglement_swap(inst, standard_corrections(), left=left) == by_default
 
 
 @pytest.mark.parametrize("call", [
