@@ -2,14 +2,15 @@
 
 A record's fields are the annotations of its own class body, in order; a
 class attribute of that name is the field's default.  Instances are equal
-only to instances of the same class with equal fields, hash on those fields,
-print as ``Name(field=value, ...)`` and refuse assignment and deletion.
-``__post_init__`` runs once the fields are set; it may add a derived
-attribute with ``object.__setattr__``.
+only to instances of the same class with equal fields, hash on those fields
+(once, on first use), print as ``Name(field=value, ...)`` and refuse
+assignment and deletion.  ``__post_init__`` runs once the fields are set;
+it may add a derived attribute with ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -47,8 +48,13 @@ class Record:
             return NotImplemented
         return self._key(self) == self._key(other)
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._key(self))
+
+    def __hash__(self) -> int:
+        # frozen, so hashed once on first use
+        return self._hash
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -173,8 +173,8 @@ def _facts_of(t_k4: CharTable, t_z4: CharTable, t_d4: CharTable, t_d8: CharTable
     """Build the seven families and the witness candidates, and run every
     table-level check the obstructions rest on, once per table content."""
     # The K4 and Z4 targets sum their irreducibles, all of degree 1: that is
-    # the regular character, by _verify_table's column orthogonality at the
-    # identity column.
+    # the regular character, by column orthogonality at the identity column,
+    # which the orthonormal rows _verify_table checks imply for a square table.
     tables = {"K4": t_k4, "Z4": t_z4, "D4": t_d4}
     families = []
     for name, ns, expected in _FAMILIES:

@@ -12,10 +12,9 @@ accessors (``coeffs``, ``display_coeffs``, ``as_fraction``) still return
 optional ``to_complex`` embedding.
 
 Every Hermitian inner product in the package (character inner products,
-column orthogonality, <v|w>, tr(X^dag Y)) goes through one kernel,
-``inner``, which sums weighted conj(x) * y on the integer numerators and
-reduces once; ``matrices.ExactMatrix.apply`` sums M v the same way in a
-loop of its own.
+<v|w>, tr(X^dag Y)) goes through one kernel, ``inner``, which sums weighted
+conj(x) * y on the integer numerators and reduces once;
+``matrices.ExactMatrix.apply`` sums M v the same way in a loop of its own.
 """
 
 from __future__ import annotations

@@ -516,10 +516,10 @@ def verify_cocycle() -> CycloNum:
     if (sx @ s @ sx @ s) != _EYE2.scale(I):
         raise CocycleMismatch("sigma_x S sigma_x S != i * identity")
     s3 = s @ s @ s
+    # S^4 = 1 needs no check of its own: times S on the right this product
+    # is i S^4, which the first check fixes as i*1
     if (sx @ s @ sx) != s3.scale(I):
         raise CocycleMismatch("sigma_x S sigma_x != i * S^3")
-    if not (s @ s @ s @ s).is_identity():
-        raise CocycleMismatch("S^4 != identity")
     if (s @ s) != pauli(3):
         raise CocycleMismatch("S^2 != sigma_z")
     return I
@@ -608,11 +608,11 @@ def correction_group_check() -> GroupHom:
 def pvm_counting_check() -> str:
     """Arithmetic for why a rank-one PVM on C^2 x C^2 cannot drive the
     eight-element correction group."""
+    # no check: the literal dim and the order of the built-in D4 are fixed,
+    # and the text below is the whole claim
     dim = 4
     pvm_outcomes = dim  # rank-one projectors resolving the identity
     d4_order = builtin_group("D4").order
-    if not (pvm_outcomes == 4 and d4_order == 8 and pvm_outcomes < d4_order):
-        raise ArithmeticError("PVM outcome counting failed")
     return (
         f"rank-one PVM on a dim-{dim} space has exactly {pvm_outcomes} outcomes; "
         f"{pvm_outcomes} < {d4_order} = |D4|, so it cannot label a faithful correction set. "

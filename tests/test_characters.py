@@ -1,6 +1,7 @@
 """Character tables, inner products, conjugation characters, pullbacks."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -376,13 +377,16 @@ def test_a_class_function_refuses_values_that_are_not_cyclonum(bad):
         ClassFunction(D4, (ONE,) * 4 + (bad,))
 
 
-def test_corrupted_table_entry_is_caught_at_load(monkeypatch):
-    labels, rows = _RAW_TABLES["D4"]
-    bad_rows = tuple(
-        row if i != 4 else (2, 0, -2, 0, 1) for i, row in enumerate(rows)
-    )
-    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, bad_rows))
-    with pytest.raises(TableVerificationFailed):
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda labels, rows: (labels[:4], rows[:4]), "D4: 4 irreducibles for 5 classes"),
+    # -chi2 is as orthonormal to every row as chi2: only its degree is wrong
+    (lambda labels, rows: (labels, rows[:1] + (tuple(-x for x in rows[1]),) + rows[2:]),
+     "D4: degree of chi2 is -1"),
+    (lambda labels, rows: (labels, rows[:4] + ((2, 0, -2, 0, 1),)), "D4: <chi1,chi5> != 0"),
+], ids=["row-count", "degree", "orthonormality"])
+def test_corrupted_table_entry_is_caught_at_load(monkeypatch, corrupt, message):
+    monkeypatch.setitem(_RAW_TABLES, "D4", corrupt(*_RAW_TABLES["D4"]))
+    with pytest.raises(TableVerificationFailed, match=f"^{re.escape(message)}$"):
         char_table(D4)
 
 
@@ -455,9 +459,9 @@ def test_table_is_verified_once_per_distinct_content(monkeypatch):
     verified = []
     real = characters._verify_table
 
-    def counting(t, sizes):
+    def counting(t):
         verified.append(t.group.name)
-        return real(t, sizes)
+        return real(t)
 
     monkeypatch.setattr(characters, "_verify_table", counting)
     characters._verified_table.cache_clear()

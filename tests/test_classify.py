@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -99,13 +100,23 @@ def test_a_wrong_type_argument_is_a_type_error_naming_the_function(function, wan
         function(bad)
 
 
-def test_swapped_d4_rows_pass_the_table_check_but_not_the_dimensions(monkeypatch):
-    """chi4 and chi5 swapped is still an orthogonal table, so char_table
-    takes it; the family dimensions catch it."""
+_HOUSEHOLDER_LINEAR = ((1, -1, 1, 1, 1), (1, -1, 1, -1, -1), (1, 1, 1, 1, -1), (1, 1, 1, -1, 1))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda rows: rows[:3] + (rows[4], rows[3]), "D4_125: dimension 3 != 4"),
+    (lambda rows: _HOUSEHOLDER_LINEAR + rows[4:], "D4_125: trivial character multiplicity != 1"),
+], ids=["swapped", "householder"])
+def test_d4_tables_that_pass_the_table_check_fail_the_families(monkeypatch, corrupt, message):
+    """Both are orthonormal with positive integer degrees, so char_table
+    takes them.  chi4 and chi5 swapped breaks D4_125's dimension.  K4's
+    linear rows times a rational Householder reflection that fixes the
+    degree column, pulled back to D4, leave chi1 + chi2 + chi5 with no
+    trivial constituent."""
     labels, rows = _RAW_TABLES["D4"]
-    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, rows[:3] + (rows[4], rows[3])))
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, corrupt(rows)))
     char_table(D4)
-    with pytest.raises(ClassifierInconsistency, match="^D4_125: dimension 3 != 4$"):
+    with pytest.raises(ClassifierInconsistency, match=f"^{re.escape(message)}$"):
         seven_families()
 
 

@@ -748,13 +748,22 @@ def test_cocycle_defect_is_i():
     assert sx @ s @ sx @ s == ExactMatrix.identity(2).scale(I)
 
 
-def test_cocycle_mismatch_is_detected(monkeypatch):
-    import repcheck.quantum as quantum
+_HALF_I = CycloNum(0, 0, Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("gate,message", [
+    # the inverse phase gate: the defect flips to -i
+    ((ONE, -I), "sigma_x S sigma_x S != i * identity"),
+    # the defect is still 2 * i/2 = i, but S^3 is off the mark
+    ((CycloNum(2), _HALF_I), "sigma_x S sigma_x != i * S^3"),
+    # both cocycle laws hold, but S^2 = -sigma_z
+    ((I, ONE), "S^2 != sigma_z"),
+], ids=["inverse", "unbalanced", "sign"])
+def test_cocycle_mismatch_is_detected(monkeypatch, gate, message):
     from repcheck.quantum import CocycleMismatch
 
-    # replace the phase gate by its inverse: the defect flips to -i
-    monkeypatch.setattr(quantum, "phase_gate", lambda: ExactMatrix.diag([ONE, -I]))
-    with pytest.raises(CocycleMismatch):
+    monkeypatch.setattr(quantum, "phase_gate", lambda: ExactMatrix.diag(gate))
+    with pytest.raises(CocycleMismatch, match=f"^{re.escape(message)}$"):
         quantum.verify_cocycle()
 
 
@@ -895,6 +904,12 @@ def test_conj_rep_rejects_non_projective_assignment():
     broken = (pauli(0), pauli(1), pauli(2), pauli(0))
     with pytest.raises(NotProjectiveRep):
         conj_rep_character_from_matrices(k4, broken)
+    # 2 U[z] keeps every ray, so the projective law holds, but |tr 2S|^2 = 8
+    # while the conjugate z^7 = S^-1 still gives 2
+    mats = lifted_correction_rep_on_d8()
+    scaled = (mats[0], mats[1].scale(2)) + mats[2:]
+    with pytest.raises(NotProjectiveRep, match="^conjugation character is not constant on the class of z$"):
+        conj_rep_character_from_matrices(builtin_group("D8"), scaled)
 
 
 def test_conj_rep_rejects_zero_matrices_and_zero_products():
