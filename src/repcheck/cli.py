@@ -16,19 +16,14 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .characters import char_table
-from .classify import full_report, report_text
-from .cyclo import CycloNum
-from .groups import BUILTIN_NAMES, builtin_group, conjugacy_classes
-from .quantum import (
-    PureState,
-    iterate_swap_detailed,
-    povm_construction,
-    teleport,
-)
-from .verify import run_all
+# the simulate-* and verify-all handlers import quantum and verify themselves,
+# so classify, show-group and show-table load only these
+from . import characters, classify, cyclo, groups
+
+if TYPE_CHECKING:
+    from .quantum import PureState
 
 
 # decimal exponents beyond this are refused: Fraction("1e999999999") would
@@ -49,7 +44,7 @@ def _frac_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _cyclo_json(x: CycloNum) -> dict:
+def _cyclo_json(x: cyclo.CycloNum) -> dict:
     return {"coeffs": [_frac_json(c) for c in x.coeffs]}
 
 
@@ -66,22 +61,22 @@ def _dump(payload: str, out_path: Optional[str]) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
-        payload = json.dumps(full_report(), indent=2, sort_keys=True)
+        payload = json.dumps(classify.full_report(), indent=2, sort_keys=True)
     else:
-        payload = report_text()
+        payload = classify.report_text()
     _dump(payload, args.out)
     return 0
 
 
 def _cmd_show_group(args: argparse.Namespace) -> int:
-    _dump(builtin_group(args.name).dump(), args.out)
+    _dump(groups.builtin_group(args.name).dump(), args.out)
     return 0
 
 
 def _cmd_show_table(args: argparse.Namespace) -> int:
-    g = builtin_group(args.name)
-    t = char_table(g)
-    cc = conjugacy_classes(g)
+    g = groups.builtin_group(args.name)
+    t = characters.char_table(g)
+    cc = groups.conjugacy_classes(g)
     if args.json:
         doc = {
             "group": g.name,
@@ -126,21 +121,25 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_state(text: str) -> PureState:
+    from . import quantum
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("expected 4 comma-separated rationals: re0,im0,re1,im1")
     re0, im0, re1, im1 = (_parse_rational(p) for p in parts)
-    return PureState((CycloNum(re0, 0, im0, 0), CycloNum(re1, 0, im1, 0)))
+    return quantum.PureState((cyclo.CycloNum(re0, 0, im0, 0), cyclo.CycloNum(re1, 0, im1, 0)))
 
 
 def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
+    from . import quantum
+
     try:
         state = _parse_state(args.state)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"bad --state: {exc}") from exc
     if state.is_zero():
         raise BadInput("--state must be non-zero")
-    trace = teleport(state)
+    trace = quantum.teleport(state)
     if args.json:
         doc = {
             "input": [_cyclo_json(a) for a in state.vector],
@@ -170,12 +169,14 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_swap(args: argparse.Namespace) -> int:
+    from . import quantum
+
     if args.rounds < 1:
         raise BadInput("--rounds must be >= 1")
     if args.rounds > MAX_ROUNDS:
         raise BadInput(f"--rounds must be <= {MAX_ROUNDS}")
-    _, inst = povm_construction()
-    detailed = iterate_swap_detailed(args.rounds, seed=args.seed, inst=inst)
+    _, inst = quantum.povm_construction()
+    detailed = quantum.iterate_swap_detailed(args.rounds, seed=args.seed, inst=inst)
     if args.json:
         doc = {
             "rounds": [
@@ -205,7 +206,9 @@ def _cmd_simulate_swap(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    results = run_all()
+    from . import verify
+
+    results = verify.run_all()
     lines = []
     for r in results:
         mark = "ok  " if r.ok else "FAIL"
@@ -232,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("show-group", help="dump a built-in group's multiplication table")
-    p.add_argument("name", choices=BUILTIN_NAMES)
+    p.add_argument("name", choices=groups.BUILTIN_NAMES)
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(fn=_cmd_show_group)
 
     p = sub.add_parser("show-table", help="print a built-in character table")
-    p.add_argument("name", choices=BUILTIN_NAMES)
+    p.add_argument("name", choices=groups.BUILTIN_NAMES)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(fn=_cmd_show_table)

@@ -49,6 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import Record
@@ -220,7 +221,11 @@ class ProtocolTrace:
     outcomes: tuple[OutcomeRecord, ...]
 
     def total_probability(self) -> Fraction:
-        return sum((o.probability for o in self.outcomes), Fraction(0))
+        # one Fraction over the common denominator: a sum of Fractions
+        # reduces by a gcd at every +
+        probs = [o.probability for o in self.outcomes]
+        den = lcm(*(p.denominator for p in probs))
+        return Fraction(sum(p.numerator * (den // p.denominator) for p in probs), den)
 
     def by_label(self, label: str) -> OutcomeRecord:
         for o in self.outcomes:
@@ -508,9 +513,10 @@ def iterate_swap_detailed(
 # ----------------------------------------------------------------------
 # structural checks
 
-def verify_cocycle() -> CycloNum:
+def verify_cocycle() -> None:
     """sigma_x S sigma_x S = i*1 (and S^4 = 1, S^2 = sigma_z): the defect
-    that puts the S/X pair in the non-trivial multiplier class."""
+    that puts the S/X pair in the non-trivial multiplier class.  Raises
+    CocycleMismatch on the first law that fails."""
     s = phase_gate()
     sx = pauli(1)
     if (sx @ s @ sx @ s) != _EYE2.scale(I):
@@ -522,7 +528,6 @@ def verify_cocycle() -> CycloNum:
         raise CocycleMismatch("sigma_x S sigma_x != i * S^3")
     if (s @ s) != pauli(3):
         raise CocycleMismatch("S^2 != sigma_z")
-    return I
 
 
 def _table(

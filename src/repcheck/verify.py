@@ -293,7 +293,6 @@ def _check_iterate_swap() -> str:
 
 
 def _check_cocycle() -> str:
-    # verify_cocycle raises on a failed law; what it returns is the constant I
     verify_cocycle()
     return "sx S sx S = i*1, sx S sx = i S^3, S^4 = 1, S^2 = sz"
 

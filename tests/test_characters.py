@@ -32,6 +32,7 @@ from repcheck.groups import BUILTIN_NAMES, GroupTable, builtin_group, central_qu
 
 D4 = builtin_group("D4")
 T4 = char_table(D4)
+K4, Z4 = builtin_group("K4"), builtin_group("Z4")
 
 
 def cf(group, *ints):
@@ -114,6 +115,21 @@ def test_inner_products_known_values():
 def test_inner_product_rejects_group_mismatch():
     with pytest.raises(GroupMismatch):
         inner_product(trivial_character(D4), trivial_character(builtin_group("K4")))
+
+
+# K4 and Z4 both have four classes, so without their checks + and decompose
+# would pair the values positionally, and pullback would read a Z4 function
+# at K4 elements, each returning a wrong answer
+@pytest.mark.parametrize("call,message", [
+    (lambda: trivial_character(K4) + trivial_character(Z4), "K4 vs Z4"),
+    (lambda: decompose(trivial_character(K4), char_table(Z4)), "K4 vs Z4"),
+    (lambda: pullback(trivial_character(Z4), central_quotient(D4, K4)),
+     "class function lives on Z4, hom targets K4"),
+    (lambda: push_to_quotient(trivial_character(D4)), "expected a class function on D8, got D4"),
+], ids=["add", "decompose", "pullback", "push_to_quotient"])
+def test_a_class_function_on_the_wrong_group_is_refused(call, message):
+    with pytest.raises(GroupMismatch, match=f"^{message}$"):
+        call()
 
 
 def test_decompose_known_values():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repcheck import cli, verify
+from repcheck import characters, classify, cli, groups, quantum, verify
 from repcheck.characters import _RAW_TABLES
 from repcheck.classify import classify_all
 from repcheck.cyclo import CycloNum
@@ -157,8 +157,8 @@ def test_rounds_above_the_cap_are_refused_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("simulate-swap started work on a refused --rounds")
 
-    monkeypatch.setattr(cli, "povm_construction", no_work)
-    monkeypatch.setattr(cli, "iterate_swap_detailed", no_work)
+    monkeypatch.setattr(quantum, "povm_construction", no_work)
+    monkeypatch.setattr(quantum, "iterate_swap_detailed", no_work)
     code = cli.main(["simulate-swap", "--rounds", str(cli.MAX_ROUNDS + 1)])
     err = capsys.readouterr().err
     assert code == 2
@@ -167,7 +167,7 @@ def test_rounds_above_the_cap_are_refused_before_any_work(capsys, monkeypatch):
 
 def test_rounds_at_the_cap_reach_the_simulator(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "iterate_swap_detailed",
+    monkeypatch.setattr(quantum, "iterate_swap_detailed",
                         lambda rounds, seed, inst: seen.append(rounds) or [])
     assert cli.main(["simulate-swap", "--rounds", str(cli.MAX_ROUNDS)]) == 0
     assert seen == [cli.MAX_ROUNDS]
@@ -419,8 +419,10 @@ def test_unknown_output_format_is_refused(capsys, monkeypatch, command):
 
     # every subcommand refuses before it builds a report, a table or a
     # protocol; verify-all before it runs any check
-    for name in ("full_report", "report_text", "builtin_group", "char_table", "teleport",
-                 "povm_construction", "iterate_swap_detailed", "run_all"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((classify, "full_report"), (classify, "report_text"),
+                         (groups, "builtin_group"), (characters, "char_table"),
+                         (quantum, "teleport"), (quantum, "povm_construction"),
+                         (quantum, "iterate_swap_detailed"), (verify, "run_all")):
+        monkeypatch.setattr(module, name, no_work)
     monkeypatch.setenv("REPCHECK_OUTPUT", "xml")
     _assert_refused(capsys, cli.main(command))

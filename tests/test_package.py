@@ -1,11 +1,14 @@
 """The package holds its modules; names are imported from the module that
 defines them."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import types
+
+import pytest
 
 import repcheck
 
@@ -14,6 +17,8 @@ MODULES = ("_record", "characters", "classify", "cyclo", "groups", "matrices", "
 
 
 def test_the_classify_module_is_not_shadowed_by_its_function():
+    import repcheck.classify
+
     assert isinstance(repcheck.classify, types.ModuleType)
     from repcheck import classify
 
@@ -22,18 +27,50 @@ def test_the_classify_module_is_not_shadowed_by_its_function():
 
 
 def test_every_public_attribute_of_the_package_is_a_module():
+    for m in MODULES:
+        importlib.import_module(f"repcheck.{m}")
     public = {name: value for name, value in vars(repcheck).items() if not name.startswith("_")}
     assert set(MODULES) <= set(vars(repcheck))
     assert all(isinstance(value, types.ModuleType) for value in public.values())
     assert isinstance(repcheck.__version__, str)
 
 
-def test_importing_the_package_loads_the_program_but_not_the_cli():
-    """The benchmark's setup clock stops after `import repcheck`, so the
-    import must load every module the program runs, as it always has."""
-    code = ("import json, sys, repcheck; "
-            "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'repcheck')))")
+def _loaded_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     src = os.path.dirname(os.path.dirname(repcheck.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert json.loads(out) == ["repcheck"] + [f"repcheck.{m}" for m in MODULES]
+    return set(json.loads(out))
+
+
+def test_importing_the_package_loads_no_module():
+    loaded = _loaded_after("import repcheck")
+    assert {n for n in loaded if n.split(".")[0] == "repcheck"} == {"repcheck"}
+
+
+# what each command loads: the table commands load neither the simulators
+# nor the battery, nor dataclasses (which quantum imports with inspect)
+_TABLES = {"repcheck", "repcheck.cli", "repcheck._record", "repcheck.cyclo", "repcheck.groups",
+           "repcheck.characters", "repcheck.classify"}
+_SIMULATORS = _TABLES | {"repcheck.matrices", "repcheck.quantum"}
+
+
+@pytest.mark.parametrize("argv,program", [
+    (["classify", "--json"], _TABLES),
+    (["show-group", "D4"], _TABLES),
+    (["show-table", "D4", "--json"], _TABLES),
+    (["simulate-teleport"], _SIMULATORS),
+    (["simulate-swap", "--rounds", "2"], _SIMULATORS),
+    (["verify-all"], _SIMULATORS | {"repcheck.verify"}),
+], ids=["classify", "show-group", "show-table", "simulate-teleport", "simulate-swap",
+        "verify-all"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, program):
+    out = tmp_path / "out"
+    loaded = _loaded_after(
+        f"from repcheck import cli; assert cli.main({argv + ['--out', str(out)]!r}) == 0"
+    )
+    assert out.read_text()
+    assert {n for n in loaded if n.split(".")[0] == "repcheck"} == program
+    if program == _TABLES:
+        assert "dataclasses" not in loaded
