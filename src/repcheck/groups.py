@@ -307,25 +307,12 @@ def _dihedral(n: int, name: str, rot: str, ref: str) -> GroupTable:
     return GroupTable(name, mul, words)
 
 
-# sigma_a * sigma_b = i^phase * sigma_prod, hard-coded from the Pauli algebra;
-# quantum.correction_group_check compares Pauli1's table with the 16 exact
-# matrices i^k sigma_j at run time.
-_PAULI_PROD = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-_PAULI_PHASE = (
-    (0, 0, 0, 0),
-    (0, 0, 1, 3),
-    (0, 3, 0, 1),
-    (0, 1, 3, 0),
-)
-
-
 def _pauli_group() -> GroupTable:
-    """The 16-element group {i^k sigma_j}; element index = 4*j + k."""
+    """The 16-element group {i^k sigma_j}; element index = 4*j + k.
+
+    sigma_a sigma_b = delta_ab 1 + i eps_abc sigma_c is sigma_(a XOR b) times
+    i (a, b cyclic), -i (anti-cyclic) or 1; quantum.correction_group_check
+    compares the table with the 16 exact matrices i^k sigma_j."""
     size = 16
 
     def idx(k: int, j: int) -> int:
@@ -333,12 +320,11 @@ def _pauli_group() -> GroupTable:
 
     mul = [[0] * size for _ in range(size)]
     for j1 in range(4):
-        for k1 in range(4):
-            for j2 in range(4):
+        for j2 in range(4):
+            phase = (1 if (j2 - j1) % 3 == 1 else 3) if j1 and j2 and j1 != j2 else 0
+            for k1 in range(4):
                 for k2 in range(4):
-                    j = _PAULI_PROD[j1][j2]
-                    k = k1 + k2 + _PAULI_PHASE[j1][j2]
-                    mul[idx(k1, j1)][idx(k2, j2)] = idx(k, j)
+                    mul[idx(k1, j1)][idx(k2, j2)] = idx(k1 + k2 + phase, j1 ^ j2)
 
     letters = ("I", "X", "Y", "Z")
     phases = ("", "i", "-", "-i")

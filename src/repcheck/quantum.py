@@ -20,7 +20,9 @@ Its plan, built once per instrument and corrections, holds each outcome's
 B, <u|u>, correction C and CHSH class: outcomes whose C B lie on one ray
 have proportional post states for every left state, so CHSH is evaluated
 once per class.  That is exact because CHSH is invariant under a non-zero
-scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.
+scalar c: |c|^2 cancels between <psi|B|psi> and <psi|psi>.  Each outcome's
+C B is lambda * 1 (``teleport_scalars``, ``swap_scalars``), so its
+probability is fixed and its output lies on the input's ray for every input.
 
 The fixed operators (Paulis, phase gate, Bell basis and its pair
 operators, corrections) are built once at import, and so is the swap
@@ -38,9 +40,10 @@ Instrument.
 Both matrix groups are tabulated by one builder: the corrections mod
 phases, where ``matrices.ray_key`` identifies matrices that are equal up to
 a scalar, and the 16 matrices i^k sigma_j, laid out at Pauli1's indices and
-compared with its hard-coded table entry for entry; it multiplies matrices
-only for the generators' columns.  The conjugation character of a matrix
-assignment is tr(U x conj U) = |tr U|^2 per element.
+compared with its table (derived from sigma_a sigma_b = delta_ab 1 + i
+eps_abc sigma_c) entry for entry; it multiplies matrices only for the
+generators' columns.  The conjugation character of a matrix assignment is
+tr(U x conj U) = |tr U|^2 per element.
 """
 
 from __future__ import annotations
@@ -248,8 +251,7 @@ _BELL_PAIR_OPERATORS = tuple(_pair_operator(bk.vector) for bk in _BELL_BASIS)
 def teleport(state: PureState) -> ProtocolTrace:
     """Bell-measure (input x Phi) on the first two qubits, then correct.
 
-    Each outcome has probability exactly 1/4 and the corrected output is
-    proportional to the input with a scalar in Q(zeta_8).
+    teleport_scalars proves each outcome's probability 1/4 and output ray.
     """
     if not isinstance(state, PureState):
         raise TypeError(f"teleport needs a PureState, got {type(state).__name__}")
@@ -274,6 +276,22 @@ def teleport(state: PureState) -> ProtocolTrace:
             )
         )
     return ProtocolTrace(tuple(records))
+
+
+def _scalar(m: ExactMatrix, weight: CycloNum, bound: Fraction, what: str) -> CycloNum:
+    """lambda with m = lambda * 1 and |lambda|^2 weight = bound, else ValueError."""
+    lam = m[0, 0]
+    if m != _EYE2.scale(lam) or lam.abs_sq() * weight != bound:
+        raise ValueError(f"{what}: the corrected map is not lambda * 1 with |lambda|^2 * {weight} = {bound}")
+    return lam
+
+
+def teleport_scalars() -> dict[str, CycloNum]:
+    """Outcome k -> lambda with sigma_k B_k = lambda * 1, |lambda|^2 = 1/4: as
+    sigma_k is unitary, every input goes to each outcome with probability 1/4
+    and its output is lambda times the input.  ValueError names a failing k."""
+    return {str(k): _scalar(pauli(k) @ b, ONE, Fraction(1, 4), f"teleport outcome {k}")
+            for k, b in enumerate(_BELL_PAIR_OPERATORS)}
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +444,15 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
         cls = classes.setdefault(ray, len(classes))
         plan.append((label, pair_op, inner(u, u), corr_label, corr, cls))
     return tuple(plan)
+
+
+def swap_scalars() -> dict[str, CycloNum]:
+    """Outcome label -> lambda with C B = lambda * 1, |lambda|^2 <u|u> = 1/8, in
+    the standard swap plan: as C is unitary, every left state goes to each outcome
+    with probability 1/8 onto its own ray, so CHSH holds.  ValueError names a failing one."""
+    _, inst = povm_construction()
+    return {label: _scalar(corr @ pair_op, uu, Fraction(1, 8), f"swap outcome {label}")
+            for label, pair_op, uu, _, corr, _ in _swap_plan(inst, _STANDARD_KEY)}
 
 
 # Hits come from few keys (a seeded swap chain of any length misses twice,
@@ -596,7 +623,7 @@ def correction_group_check() -> GroupHom:
     iso = find_isomorphism(ray_group, builtin_group("D4"))
 
     # i^k sigma_j at Pauli1's index 4j + k: the matrices multiply by its
-    # hard-coded table itself, signs and phases included, and mod phases
+    # derived table itself, signs and phases included, and mod phases
     # they collapse to K4
     pauli_seeds = correction_seeds[:4]
     p1 = builtin_group("Pauli1")

@@ -6,12 +6,16 @@ so a warm run does not redo them (a changed table is new content).
 Everything here is an exact (equality) assertion; a corrupted table, a
 wrong correction or a broken identity flips the corresponding check to
 FAIL rather than passing silently.
+
+No check samples: the protocol and matrix identities are proved for every
+input by finite ones (quantum's teleport_scalars and swap_scalars, U^dag U
+= 1 per correction, the four matrix units); iterate-swap's seeds drive the
+program's own seeded outcome choice.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from ._record import Record
@@ -33,7 +37,7 @@ from .classify import (
     k4_target_pulled_to_d4,
     seven_families,
 )
-from .cyclo import CycloNum, ONE, _reduced, inner
+from .cyclo import CycloNum, ONE, ZERO, inner
 from .groups import (
     BUILTIN_NAMES,
     builtin_group,
@@ -41,7 +45,7 @@ from .groups import (
     central_quotient,
     conjugacy_classes,
 )
-from .matrices import ExactMatrix, hs_inner
+from .matrices import ExactMatrix, hs_inner, outer
 from .quantum import (
     PureState,
     TSIRELSON,
@@ -57,12 +61,12 @@ from .quantum import (
     povm_construction,
     pvm_counting_check,
     standard_corrections,
+    swap_scalars,
     teleport,
+    teleport_scalars,
     tsirelson_settings,
     verify_cocycle,
 )
-
-_RNG_SEED = 20260810
 
 
 class CheckFailed(Exception):
@@ -83,20 +87,6 @@ class CheckResult(Record):
     name: str
     ok: bool
     detail: str
-
-
-def _rand_cyclo(rng: random.Random) -> CycloNum:
-    # a + b*i, each num/den with num in -9..9, den in 1..9: the value of
-    # CycloNum(Fraction(an, ad), 0, Fraction(bn, bd), 0) from the same four
-    # draws, so samples and rng stream are unchanged, built on integers
-    # without two Fractions and the constructor's lcm per sample
-    an, ad = rng.randint(-9, 9), rng.randint(1, 9)
-    bn, bd = rng.randint(-9, 9), rng.randint(1, 9)
-    return _reduced(an * bd, 0, bn * ad, 0, ad * bd)
-
-
-def _rand_matrix(rng: random.Random, n: int) -> ExactMatrix:
-    return ExactMatrix([[_rand_cyclo(rng) for _ in range(n)] for _ in range(n)])
 
 
 # ----------------------------------------------------------------------
@@ -226,21 +216,21 @@ def _check_tsirelson() -> str:
     return "CHSH(bell, tsirelson settings) = 2*sqrt2 exactly; float embedding within 1e-12"
 
 
-def _check_teleport(n_states: int = 100) -> str:
-    rng = random.Random(_RNG_SEED)
-    quarter = Fraction(1, 4)
-    for _ in range(n_states):
-        amps = [_rand_cyclo(rng), _rand_cyclo(rng)]
-        if all(a.is_zero() for a in amps):
-            amps[0] = ONE
-        state = PureState(tuple(amps))
+def _check_teleport() -> str:
+    # the proof covers every input; runs on |0>, |1> and the CLI's 1,2,-3,1/2 test teleport's code
+    scalars = teleport_scalars()
+    states = [PureState((ONE, ZERO)), PureState((ZERO, ONE)),
+              PureState((CycloNum(1, 0, 2, 0), CycloNum(-3, 0, Fraction(1, 2), 0)))]
+    for state in states:
         trace = teleport(state)
-        _require(trace.total_probability() == 1)
+        # one record per proved outcome, each at 1/4: the total is 1
+        _require([rec.label for rec in trace.outcomes] == list(scalars), "outcomes differ from the proof's")
         for rec in trace.outcomes:
-            _require(rec.probability == quarter)
-            scalar = rec.post.proportional_to(state)
-            _require(scalar is not None and not scalar.is_zero())
-    return f"{n_states} random rational states: probabilities exactly 1/4, corrections restore the ray"
+            _require(rec.probability == Fraction(1, 4), f"outcome {rec.label}'s probability is not 1/4")
+            _require(rec.post.proportional_to(state) == scalars[rec.label],
+                     f"outcome {rec.label}'s output is not lambda times its input")
+    return (f"sigma_k B_k = lambda_k * 1, |lambda_k|^2 = 1/4 for all {len(scalars)} outcomes, so for every "
+            f"input each has probability 1/4 and restores its ray; {len(states)} runs agree")
 
 
 def _check_povm() -> str:
@@ -262,22 +252,19 @@ def _check_povm() -> str:
 
 
 def _check_swap() -> str:
+    scalars = swap_scalars()
     _, inst = povm_construction()
     trace = entanglement_swap(inst)
-    eighth = Fraction(1, 8)
     phi = bell_state()
-    eye = ExactMatrix.identity(2)
-    corrections = standard_corrections()
     _require(trace.total_probability() == 1)
     for rec in trace.outcomes:
-        _require(rec.probability == eighth, rec.label)
-        _, v = corrections[rec.label]
-        expected_cond = PureState(eye.tensor(v.dagger()).apply(phi.vector))
-        _require(rec.conditional.proportional_to(expected_cond) is not None, rec.label)
+        _require(rec.probability == Fraction(1, 8), rec.label)
+        # a unit post (1 x C)|cond> on Phi's ray puts cond at (1 x C^dag)|Phi>, C unitary
         scalar = rec.post.proportional_to(phi)
         _require(scalar is not None and scalar.abs_sq() == ONE, rec.label)
         _require(rec.chsh == TSIRELSON, rec.label)
-    return "8 outcomes at exactly 1/8; conditional = (1 x A^dag)|Phi>; corrected CHSH = 2*sqrt2"
+    return (f"C B = lambda * 1, |lambda|^2 <u|u> = 1/8 for all {len(scalars)} outcomes, so every left state "
+            "keeps its ray at 1/8; on |Phi>: conditional = (1 x A^dag)|Phi>, corrected CHSH = 2*sqrt2")
 
 
 def _check_iterate_swap() -> str:
@@ -323,27 +310,24 @@ def _check_matrix_vs_table_conj() -> str:
 
 
 def _check_hs_unitarity() -> str:
-    rng = random.Random(_RNG_SEED + 1)
-    unitaries = [m for _, (_, m) in standard_corrections().items()]
-    for u in unitaries:
-        u_dag = u.dagger()
-        for _ in range(3):
-            x = _rand_matrix(rng, 2)
-            y = _rand_matrix(rng, 2)
-            _require(hs_inner(u @ x @ u_dag, u @ y @ u_dag) == hs_inner(x, y))
-    return "conjugation by each correction preserves the HS inner product on random inputs"
+    corrections = standard_corrections()
+    for label, (_, u) in corrections.items():
+        _require(u.is_unitary(), f"the correction of outcome {label} is not unitary")
+    # tr((U X U^dag)^dag U Y U^dag) = tr(X^dag U^dag U Y U^dag U) = tr(X^dag Y)
+    return (f"U^dag U = 1 for all {len(corrections)} corrections, so conjugation by each "
+            "preserves the HS inner product for every X, Y")
 
 
 def _check_partial_trace_identity() -> str:
-    rng = random.Random(_RNG_SEED + 2)
     phi = bell_state()
     eye = ExactMatrix.identity(2)
     half = CycloNum(Fraction(1, 2))
-    for _ in range(25):
-        m = _rand_matrix(rng, 2)
+    # both sides are linear in M, so the matrix units E_ij = |i><j| cover every M
+    for i, j in itertools.product(range(2), repeat=2):
+        m = outer(eye.entries[i], eye.entries[j])
         lhs = inner(phi.vector, m.tensor(eye).apply(phi.vector))
-        _require(lhs == half * m.trace())
-    return "<Phi|(M x 1)|Phi> = tr(M)/2 for 25 random rational-entry M"
+        _require(lhs == half * m.trace(), f"fails on E_{i}{j}")
+    return "<Phi|(M x 1)|Phi> = tr(M)/2 on the 4 matrix units E_ij, so for every M by linearity"
 
 
 def _check_pvm_counting() -> str:

@@ -236,6 +236,21 @@ def test_pullback_requires_surjective_hom():
         pullback(trivial_character(z4), const)
 
 
+def test_pullback_refuses_a_surjective_map_that_is_not_a_homomorphism():
+    """K4 -> Z4 by index is onto, but a*a = e goes to e while t*t = t2."""
+    from repcheck.groups import GroupHom
+
+    onto = GroupHom(source=K4, target=Z4, image=(0, 1, 2, 3))
+    assert onto.is_surjective()
+    with pytest.raises(ValueError, match="^pullback requires a verified homomorphism$"):
+        pullback(trivial_character(Z4), onto)
+
+
+def test_a_class_function_needs_one_value_per_class():
+    with pytest.raises(ValueError, match="^expected 5 class values, got 4$"):
+        ClassFunction(D4, (ONE,) * 4)
+
+
 def test_projective_irreps_trivial_class():
     got = projective_irreps_d4(ProjectiveClassTag.TRIVIAL)
     assert [lbl for lbl, _ in got] == ["chi1", "chi2", "chi3", "chi4", "chi5"]

@@ -275,6 +275,23 @@ def test_reflection_vanishing_check():
     assert check_reflection_vanishing(family_by_name("D4_125")) is None
 
 
+def test_a_non_trivial_class_that_does_not_vanish_on_reflections_is_refused(monkeypatch):
+    """D8's trivial chi1 in place of the non-trivial class: |chi1|^2 is 1 on
+    every class, so _facts_of refuses it before any verdict reads it."""
+    original = classify_module.projective_irreps_d4
+    chi1 = char_table(builtin_group("D8")).by_label("chi1")
+
+    def with_chi1(tag):
+        return (("chi1", chi1),) if tag is ProjectiveClassTag.NONTRIVIAL else original(tag)
+
+    monkeypatch.setattr(classify_module, "projective_irreps_d4", with_chi1)
+    classify_module._facts_of.cache_clear()
+    with pytest.raises(ClassifierInconsistency, match=r"^\|chi1\|\^2 fails to vanish on a reflection class$"):
+        classify_module._facts()
+    monkeypatch.undo()
+    classify_module._facts_of.cache_clear()
+
+
 def test_reflection_values_from_the_table():
     # chi1 + chi2 + chi5 at s: 1 + (-1) + 0 = 0 and at rs: 0
     target = family_by_name("D4_125").target

@@ -3,10 +3,8 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +12,6 @@ import pytest
 from repcheck import characters, classify, cli, groups, quantum, verify
 from repcheck.characters import _RAW_TABLES
 from repcheck.classify import classify_all
-from repcheck.cyclo import CycloNum
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -188,15 +185,18 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["realizable"] == ["K4_1234", "D4_125"]
 
 
-# sha256 of the output bytes of the parent design; a refactor of the
-# classifier or the battery must leave every one of them unchanged
-CLASSIFY_JSON_SHA256 = "cc1976bfa2019cdd270592b131f54349fa6fe2f1cf7ad62f974c5e777ee8362f"
-CLASSIFY_TEXT_SHA256 = "5c2f2966a6a557c1c91fc7c2b3c48a9460d8edea4dc45cd474528f1118cdce9e"
-VERIFY_ALL_SHA256 = "b57a65e5c91e3ed59944fb88280e9bb595c4c134053c2444dab7f2d0d61b2798"
+# sha256 of each pinned output, in `sha256sum` format: one list for these
+# tests and for CI's `sha256sum -c` in each interpreter mode. A refactor of
+# the classifier or the battery must leave every one of them unchanged.
+_PINNED_LINES = (Path(__file__).parent / "pinned_outputs.sha256").read_text().splitlines()
+PINNED = {name: digest for digest, name in (line.split("  ") for line in _PINNED_LINES)}
+CLASSIFY_JSON_SHA256 = PINNED["classify.json"]
+CLASSIFY_TEXT_SHA256 = PINNED["classify.txt"]
+VERIFY_ALL_SHA256 = PINNED["verify-all.txt"]
 # simulate-swap --rounds 1000 --seed 7 --json
-SIMULATE_SWAP_JSON_SHA256 = "0e85b024a5e2714a0bc1c30621d5d61410dc0331426b7c8adcc2c98adcb59778"
+SIMULATE_SWAP_JSON_SHA256 = PINNED["swap.json"]
 # simulate-teleport --state 1,2,-3,1/2 --json
-SIMULATE_TELEPORT_JSON_SHA256 = "4bebad6a6cabf1185d03d21488fcb00e64e4abeb144d7eb828ca6120aa75a962"
+SIMULATE_TELEPORT_JSON_SHA256 = PINNED["teleport.json"]
 
 
 def _sha256(text):
@@ -217,25 +217,18 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert code == 0 and _sha256(out) == SIMULATE_TELEPORT_JSON_SHA256
 
 
-# sha256 of show-table (text and --json) and show-group for every group,
-# taken at the parent design and the same under PYTHONHASHSEED 0 and 1
+# show-table (text and --json) and show-group for every group, the same
+# under PYTHONHASHSEED 0 and 1
 SHOW_SHA256 = {
-    ("show-table", "K4"): "d339a3b25274cd4214ffc821d4564e4b947a7debf6a0a55286e5244faad08c68",
-    ("show-table", "K4", "--json"): "7c56d0a94160d29db07199b13fe1fb2e65f8bc195286af9eb0eab762db7f487a",
-    ("show-group", "K4"): "1f92e78a933d06cfbb775072ec4c8a74285467e5a9c8a19bc2e18d63165bc882",
-    ("show-table", "Z4"): "20dffa78550e6e5bd70313e3c6ff705314901d4810f02c2bd72b5b832986f901",
-    ("show-table", "Z4", "--json"): "90b77b27392c90b5e76a26af8f9129052bc8233775a104a8bb2187fca13bf6e2",
-    ("show-group", "Z4"): "c7ee9f3697e3f60f80454f78e90666a0455c4265458c5aac25b8e7693461cff6",
-    ("show-table", "D4"): "f4e5ba9551a547966c3976cd86d98753d56f36e724edb42663256d994bf912cd",
-    ("show-table", "D4", "--json"): "e7c9dfcf9e3b565e777a44c7b7cf3e9092a66cc9259e0bfe9f4090f8e45ca43f",
-    ("show-group", "D4"): "189b51d75a7921c88968fab8af8dc265464450807780dc20ad2a801ce5164e62",
-    ("show-table", "D8"): "94e8445a681c7ebf0e307bfa920d6143d636c146349e05f7f2e203eb5f832818",
-    ("show-table", "D8", "--json"): "9b01d3eb86b49bc856b2a9c66fc03a83127b507ddf8f4c9f3217415db8ba891d",
-    ("show-group", "D8"): "83e667ce3a5ceb9913859041e89763763286b3a56e018edbc2624d1ee76fe612",
-    ("show-table", "Pauli1"): "b52493e1426634f3bdb1532097dcfcbc7477e40c76018c505c0db7f317ced3bc",
-    ("show-table", "Pauli1", "--json"): "965f99bc30b69c462929110f81da0d78330502896bfc1111b65271789aa96d24",
-    ("show-group", "Pauli1"): "f8f41f1915658b597dd58a6a9aa08d7b6c938ef8d0fefcba8efd6a8167a31f08",
+    argv: PINNED[f"{argv[0]}-{argv[1]}.{'json' if '--json' in argv else 'txt'}"]
+    for g in ("K4", "Z4", "D4", "D8", "Pauli1")
+    for argv in (("show-table", g), ("show-table", g, "--json"), ("show-group", g))
 }
+
+
+def test_the_pinned_list_names_each_of_the_20_outputs_once():
+    assert len(_PINNED_LINES) == len(PINNED) == 20
+    assert all(len(digest) == 64 for digest in PINNED.values())
 
 
 @pytest.mark.parametrize("argv", list(SHOW_SHA256), ids=" ".join)
@@ -312,20 +305,6 @@ def test_a_broken_pinned_fact_fails_its_check_under_optimize_flag():
     )
     assert proc.returncode == 1
     assert "repcheck.verify.CheckFailed" in proc.stderr
-
-
-@pytest.mark.parametrize("seed", [0, 1, verify._RNG_SEED, verify._RNG_SEED + 1, verify._RNG_SEED + 2])
-def test_sampled_values_are_those_of_two_fractions_on_the_same_stream(seed):
-    # 5 x 250 draws: the battery's values and its rng stream are those of
-    # CycloNum(Fraction, 0, Fraction, 0) from the same four randint calls
-    ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(250):
-        x = verify._rand_cyclo(ours)
-        a = Fraction(theirs.randint(-9, 9), theirs.randint(1, 9))
-        b = Fraction(theirs.randint(-9, 9), theirs.randint(1, 9))
-        expected = CycloNum(a, 0, b, 0)
-        assert (x._n, x._d) == (expected._n, expected._d)
-    assert ours.getstate() == theirs.getstate()
 
 
 def _assert_refused(capsys, code):

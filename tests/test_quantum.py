@@ -822,6 +822,105 @@ def test_a_sign_flipped_sigma_y_fails_the_correction_group(monkeypatch):
     assert failed == ["correction-group"]
 
 
+@pytest.mark.parametrize("a,b,message", [
+    ("S", "SX", "projective orders of [S], [X] are not (4, 2)"),
+    ("X", "Z", "[X][S][X]^-1 != [S]^-1 in the correction quotient"),
+], ids=["S-SX", "X-Z"])
+def test_swapped_correction_labels_fail_the_correction_group(monkeypatch, a, b, message):
+    """[SX] has order 2, and [Z] commutes with [S]: each label swap breaks
+    the presentation the check reads by word."""
+    swapped = {a: b, b: a}
+    relabelled = tuple((lbl, (swapped.get(cl, cl), m)) for lbl, (cl, m) in quantum._STANDARD_CORRECTIONS)
+    monkeypatch.setattr(quantum, "_STANDARD_CORRECTIONS", relabelled)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        correction_group_check()
+
+
+def _failures():
+    """check name -> FAIL detail of each failing verify-all check."""
+    from repcheck import verify
+
+    return {r.name: r.detail for r in verify.run_all() if not r.ok}
+
+
+def _not_scalar(what, weight, bound):
+    return f"{what}: the corrected map is not lambda * 1 with |lambda|^2 * {weight} = {bound}"
+
+
+def test_every_corrected_map_is_a_scalar_of_the_stated_modulus():
+    half, quarter = CycloNum(Fraction(1, 2)), CycloNum(Fraction(1, 4))
+    assert quantum.teleport_scalars() == {str(k): half for k in range(4)}
+    _, inst = povm_construction()
+    assert quantum.swap_scalars() == {
+        lbl: -I * quarter if lbl[1] == "2" else quarter for lbl in inst.labels
+    }
+
+
+def test_rotated_pair_operators_fail_the_teleport_proof_and_check(monkeypatch):
+    """sigma_0 B_1 = B_1 is sigma_1 / 2, no scalar."""
+    ops = quantum._BELL_PAIR_OPERATORS
+    monkeypatch.setattr(quantum, "_BELL_PAIR_OPERATORS", ops[1:] + ops[:1])
+    message = _not_scalar("teleport outcome 0", 1, "1/4")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantum.teleport_scalars()
+    assert _failures() == {"teleport": f"ValueError: {message}"}
+
+
+def test_a_correction_scaled_by_two_fails_the_swap_proof_and_check(monkeypatch):
+    """|2 lambda|^2 <u|u> is 1/2: the post state is off the input's norm, so
+    the proof fails, although CHSH, blind to a scalar, still holds."""
+    key = tuple((lbl, cl, m.scale(2) if lbl == "a0" else m) for lbl, cl, m in quantum._STANDARD_KEY)
+    monkeypatch.setattr(quantum, "_STANDARD_KEY", key)
+    message = _not_scalar("swap outcome a0", 2, "1/8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantum.swap_scalars()
+    assert _failures() == {"entanglement-swap": f"ValueError: {message}"}
+
+
+def test_a_phase_on_a_correction_keeps_the_swap_proof(monkeypatch):
+    """-sigma_y corrects b2 as well as sigma_y does: only its lambda turns."""
+    key = tuple((lbl, cl, m.scale(-ONE) if lbl == "b2" else m) for lbl, cl, m in quantum._STANDARD_KEY)
+    monkeypatch.setattr(quantum, "_STANDARD_KEY", key)
+    assert quantum.swap_scalars()["b2"] == I * CycloNum(Fraction(1, 4))
+
+
+def test_a_non_unitary_correction_fails_hs_unitarity(monkeypatch):
+    doubled = tuple(
+        (lbl, (cl, m.scale(2) if lbl == "a1" else m)) for lbl, (cl, m) in quantum._STANDARD_CORRECTIONS
+    )
+    monkeypatch.setattr(quantum, "_STANDARD_CORRECTIONS", doubled)
+    failures = _failures()
+    assert failures["hs-unitarity"] == "CheckFailed: the correction of outcome a1 is not unitary"
+    assert set(failures) == {"hs-unitarity", "correction-group"}
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda r: {"post": r.conditional}, "outcome 1's output is not lambda times its input"),
+    (lambda r: {"probability": r.probability / 2}, "outcome 0's probability is not 1/4"),
+    (lambda r: {"label": f"b{r.label}"}, "outcomes differ from the proof's"),
+], ids=["uncorrected", "halved-probability", "relabelled"])
+def test_a_fault_in_teleports_own_code_fails_the_teleport_check(monkeypatch, fault, message):
+    """The operators stay whole, so only the runs can see it: uncorrected,
+    outcome 1's output B_1 |0> = |1>/2 is off the input's ray."""
+    from repcheck import verify
+
+    def faulty(state):
+        return quantum.ProtocolTrace(tuple(
+            quantum.OutcomeRecord(**{**vars(r), **fault(r)}) for r in teleport(state).outcomes
+        ))
+
+    monkeypatch.setattr(verify, "teleport", faulty)
+    assert _failures() == {"teleport": f"CheckFailed: {message}"}
+
+
+def test_a_wrong_bell_state_fails_the_partial_trace_identity(monkeypatch):
+    from repcheck import verify
+
+    monkeypatch.setattr(verify, "bell_state", lambda: PureState((ONE, ZERO, ZERO, ZERO)))
+    with pytest.raises(verify.CheckFailed, match="^fails on E_00$"):
+        verify._check_partial_trace_identity()
+
+
 def test_matrix_group_mod_phases_refuses_bad_seed_sets():
     x, s = pauli(1), phase_gate()
     with pytest.raises(ValueError, match="not unitary"):
