@@ -7,8 +7,8 @@ column orthogonality and the degree-sum identity, so neither is checked
 again.  Class functions are indexed by the canonical conjugacy-class
 order from the groups module (lowest-index representatives).  Character
 inner products go through the package's one Hermitian inner-product
-kernel, ``cyclo.inner``.  The multiplicity
-sweeps of verify-all's oracle checks (each sum of a character list within a
+kernel, ``cyclo.inner``.  The sweeps of
+verify-all's brute-force oracle (each sum of a character list within a
 degree bound, with its conjugation character) come from conj_sweep, one
 memo per character list and degree bound.
 

@@ -2,9 +2,10 @@
 
 Each family is a prescribed conjugation character over K4, Z4 or D4.  A
 family is realizable iff some irreducible (projective) character's
-conjugation character equals the target exactly; the multiplicity-one
-constraint on the trivial character is taken as an input axiom and is what
-restricts the search to irreducibles.
+conjugation character equals the target exactly.  Only irreducibles can
+match: each target has trivial multiplicity 1 (checked), and row
+orthonormality makes the trivial multiplicity of conj(sum n_i chi_i) equal
+sum n_i^2, which is 1 only for a single irreducible.
 
 Every obstruction is a standalone executable check carrying the set of
 projective classes it rules out.  A family is obstructed exactly when the

@@ -45,6 +45,8 @@ class GroupTable:
         self.order = len(self.mul_table)
         if len(self.element_words) != self.order:
             raise GroupError(f"{name}: {len(self.element_words)} words for order {self.order}")
+        if self.order == 0:
+            raise GroupError(f"{name}: a group needs an identity; the table is empty")
         self._verify()
         # a verified table has one 0 in row a, at a's inverse, which in a
         # group is two-sided

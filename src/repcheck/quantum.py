@@ -44,6 +44,13 @@ compared with its table (derived from sigma_a sigma_b = delta_ab 1 + i
 eps_abc sigma_c) entry for entry; it multiplies matrices only for the
 generators' columns.  The conjugation character of a matrix assignment is
 tr(U x conj U) = |tr U|^2 per element.
+
+These matrix-group facts are derived once per distinct content: each table
+is memoized on its name, words, matrices and key, the conjugation character
+on its group and matrices, and the 16 D8 lifts on S and sigma_x.  A changed
+matrix is new content and is derived and checked again; a refused
+derivation is not memoized, so it raises on every call.  The argument,
+unitarity, element-order and isomorphism checks run on every call.
 """
 
 from __future__ import annotations
@@ -306,6 +313,7 @@ class Effect(Record):
     vector: PureState
 
     def __post_init__(self):
+        _require("Effect", self.vector, PureState)
         if self.scale <= 0:
             raise ValueError("effect scale must be positive")
         v = self.vector.vector
@@ -505,6 +513,8 @@ def iterate_swap_detailed(
     selected outcome record of each round; its chsh is the post-correction
     CHSH value.
     """
+    if not isinstance(rounds, int):
+        raise TypeError(f"iterate_swap_detailed needs an int rounds, got {type(rounds).__name__}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if outcome_path is not None and len(outcome_path) < rounds:
@@ -557,6 +567,11 @@ def verify_cocycle() -> None:
         raise CocycleMismatch("S^2 != sigma_z")
 
 
+def _identity(m: ExactMatrix) -> ExactMatrix:
+    """The key of exact comparison: one function, so a table memo hits."""
+    return m
+
+
 def _table(
     name: str,
     words: Sequence[str],
@@ -564,11 +579,23 @@ def _table(
     key: Callable[[ExactMatrix], ExactMatrix],
 ) -> GroupTable:
     """The group of mats under @, labelled by words, with matrices identified
-    when their keys are equal.  Refuses two elements with one key and a
-    product whose key is not among them.  Only the columns of mats[0] and of
-    the walk's generators are matrix products; mul[a][x s] = col_s[mul[a][x]]
-    fills the rest, as @ is associative and a product's key depends only on
-    its factors' keys, so no product escapes if none in these columns does."""
+    when their keys are equal; memoized on the four, so changed matrices are
+    new content and are tabulated again."""
+    return _tabulated(name, tuple(words), tuple(mats), key)
+
+
+@lru_cache(maxsize=8)
+def _tabulated(
+    name: str,
+    words: tuple[str, ...],
+    mats: tuple[ExactMatrix, ...],
+    key: Callable[[ExactMatrix], ExactMatrix],
+) -> GroupTable:
+    """Refuses two elements with one key and a product whose key is not
+    among them.  Only the columns of mats[0] and of the walk's generators
+    are matrix products; mul[a][x s] = col_s[mul[a][x]] fills the rest, as @
+    is associative and a product's key depends only on its factors' keys,
+    so no product escapes if none in these columns does."""
     index: dict[ExactMatrix, int] = {}
     for i, m in enumerate(mats):
         j = index.setdefault(key(m), i)
@@ -598,6 +625,17 @@ def matrix_group_mod_phases(seeds: Sequence[tuple[str, ExactMatrix]], name: str)
     a seed's ray; then the seeds' rays are the whole closure mod phases.
     Their labels become the quotient's words.
     """
+    if isinstance(seeds, (tuple, list)):
+        bad = [seed for seed in seeds if not (
+            isinstance(seed, tuple) and len(seed) == 2
+            and isinstance(seed[0], str) and isinstance(seed[1], ExactMatrix))]
+        got = f"a {type(seeds).__name__} holding {type(bad[0]).__name__}" if bad else None
+    else:
+        got = type(seeds).__name__
+    if got is not None:
+        raise TypeError("matrix_group_mod_phases needs a tuple or list of (str, ExactMatrix) "
+                        f"pairs, got {got}")
+    _require("matrix_group_mod_phases", name, str)
     for lbl, m in seeds:
         if not m.is_unitary():
             raise ValueError(f"seed {lbl} is not unitary")
@@ -628,7 +666,7 @@ def correction_group_check() -> GroupHom:
     pauli_seeds = correction_seeds[:4]
     p1 = builtin_group("Pauli1")
     mats = [m.scale(phase) for _, m in pauli_seeds for phase in (ONE, I, -ONE, -I)]
-    if _table("PauliMatrices", p1.element_words, mats, key=lambda m: m) != p1:
+    if _table("PauliMatrices", p1.element_words, mats, _identity) != p1:
         raise ValueError("the Pauli matrices do not multiply by Pauli1's table")
 
     # find_isomorphism onto K4 refuses a wrong order or an element of order 4
@@ -669,6 +707,13 @@ def conj_rep_character_from_matrices(
     _require_vector("conj_rep_character_from_matrices", mats, ExactMatrix)
     if len(mats) != group.order:
         raise ValueError("need one matrix per group element")
+    return _conj_character_of(group, tuple(mats))
+
+
+@lru_cache(maxsize=8)
+def _conj_character_of(group: GroupTable, mats: tuple[ExactMatrix, ...]) -> ClassFunction:
+    """conj_rep_character_from_matrices on checked arguments, memoized on
+    the group and the matrices; a refused assignment raises on every call."""
     keys = []
     for g in group.elements():
         try:
@@ -706,7 +751,13 @@ def pauli_rep_on_k4() -> tuple[ExactMatrix, ...]:
 
 def lifted_correction_rep_on_d8() -> tuple[ExactMatrix, ...]:
     """D8 element z^i h^j (index i + 8j) realized as S^i sigma_x^j."""
+    return _lifted(_S, pauli(1))
+
+
+@lru_cache(maxsize=4)
+def _lifted(s: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ...]:
+    """The 16 lifts, built once per distinct S and sigma_x."""
     powers = [_EYE2]
     for _ in range(7):
-        powers.append(powers[-1] @ _S)
-    return tuple(powers) + tuple(m @ pauli(1) for m in powers)
+        powers.append(powers[-1] @ s)
+    return tuple(powers) + tuple(m @ x for m in powers)

@@ -12,6 +12,7 @@ import pytest
 from repcheck import characters, classify, cli, groups, quantum, verify
 from repcheck.characters import _RAW_TABLES
 from repcheck.classify import classify_all
+from repcheck.cyclo import CycloNum
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -289,6 +290,22 @@ def test_verify_all_catches_table_fault_after_warm_caches(capsys, monkeypatch):
     # the two checks that read the memoized sweeps
     assert "FAIL multiplicity-sweep" in out
     assert "FAIL brute-force-oracle" in out
+
+
+def test_the_multiplicity_check_runs_each_polarization_vector(monkeypatch):
+    """The detail counts the vectors the check ran; a combination that adds
+    each character once fails at 2 e_1, where m1 = 1, not 4."""
+    assert verify._check_multiplicity_sweep() == (
+        "m1 = sum n_i^2 on the 20 characters sum n_i chi_i with n = e_i, e_i + e_j or 2 e_i; "
+        "the first 15 fix the quadratic form m1(n), so it holds at every degree (m1 hits 1, 2, 4)")
+
+    def once_each(chars, ns):
+        return characters.combination(chars, [min(n, 1) for n in ns])
+
+    monkeypatch.setattr(verify, "combination", once_each)
+    with pytest.raises(verify.CheckFailed) as info:
+        verify._check_multiplicity_sweep()
+    assert info.value.args == ((2, 0, 0, 0, 0), CycloNum(1))
 
 
 def test_verify_all_runs_under_optimize_flag():

@@ -219,6 +219,15 @@ def test_group_table_rejects_corrupt_data():
         GroupTable("bad", loop, ["e", "a", "b", "c", "d"])
 
 
+def test_an_empty_table_is_no_group():
+    """Order 0 has no identity: refused before find_isomorphism or dump can
+    meet it."""
+    with pytest.raises(GroupError, match="^e: a group needs an identity; the table is empty$"):
+        GroupTable("e", [], [])
+    with pytest.raises(GroupError, match="^x: a group needs an identity; the table is empty$"):
+        quantum.matrix_group_mod_phases([], "x")
+
+
 def _reduced_latin_squares(n):
     """Every n x n Latin square on 0..n-1 whose first row and column are 0..n-1."""
     rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]

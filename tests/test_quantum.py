@@ -534,13 +534,18 @@ def _chain_into_a_zero_outcome():
     (lambda: quantum.Effect("x", Fraction(-1, 2), PureState((ONE, ZERO))),
      ValueError, "effect scale must be positive"),
     (lambda: iterate_swap_detailed(0), ValueError, "rounds must be >= 1"),
+    (lambda: iterate_swap_detailed("3"), TypeError, "iterate_swap_detailed needs an int rounds, got str"),
+    (lambda: iterate_swap_detailed(2.0), TypeError, "iterate_swap_detailed needs an int rounds, got float"),
+    (lambda: quantum.Effect("x", Fraction(1, 2), (ONE, ZERO)),
+     TypeError, "Effect needs a PureState, got tuple"),
     (lambda: iterate_swap_detailed(3, outcome_path=["b0", "b1"]),
      ValueError, "outcome_path supplies 2 outcomes for 3 rounds"),
     (_chain_into_a_zero_outcome, ZeroState, "selected outcome z has zero probability"),
     (lambda: conj_rep_character_from_matrices(builtin_group("K4"), pauli_rep_on_k4()[:3]),
      ValueError, "need one matrix per group element"),
 ], ids=["chsh_value", "teleport", "entanglement_swap", "Effect-zero", "Effect-negative",
-        "rounds", "outcome_path-length", "zero-probability", "conj_rep_character"])
+        "rounds", "rounds-str", "rounds-float", "Effect-vector", "outcome_path-length",
+        "zero-probability", "conj_rep_character"])
 def test_a_wrong_shape_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -808,18 +813,20 @@ def test_correction_group_is_d4_mod_phases():
 
 def test_a_sign_flipped_sigma_y_fails_the_correction_group(monkeypatch):
     """-sigma_y lies on sigma_y's ray, so both quotients are unchanged; only
-    the 16 matrices i^k sigma_j against Pauli1's table see the sign."""
-    from repcheck import verify
-
+    the 16 matrices i^k sigma_j against Pauli1's table see the sign.  After
+    a warm battery the flip is new matrix content: derived again, and
+    refused on every call."""
+    assert _failures() == {}
     flipped = tuple(
         (lbl, (cl, m.scale(-ONE) if lbl == "b2" else m))
         for lbl, (cl, m) in quantum._STANDARD_CORRECTIONS
     )
     monkeypatch.setattr(quantum, "_STANDARD_CORRECTIONS", flipped)
-    with pytest.raises(ValueError, match="do not multiply by Pauli1's table"):
-        correction_group_check()
-    failed = [r.name for r in verify.run_all() if not r.ok]
-    assert failed == ["correction-group"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not multiply by Pauli1's table"):
+            correction_group_check()
+        assert _failures() == {
+            "correction-group": "ValueError: the Pauli matrices do not multiply by Pauli1's table"}
 
 
 @pytest.mark.parametrize("a,b,message", [
@@ -935,6 +942,57 @@ def test_matrix_group_mod_phases_refuses_bad_seed_sets():
     # table, the same as from all pairs, has no identity at 0
     with pytest.raises(GroupError, match="^bad: element 0 is not a two-sided identity$"):
         matrix_group_mod_phases([("X", x), ("I", pauli(0))], "bad")
+
+
+_PAIRS = "a tuple or list of (str, ExactMatrix) pairs, got"
+
+
+@pytest.mark.parametrize("seeds,name,message", [
+    ((1, 2), "x", f"{_PAIRS} a tuple holding int"),
+    ("IX", "x", f"{_PAIRS} str"),
+    ([("I", pauli(0)), ["X", pauli(1)]], "x", f"{_PAIRS} a list holding list"),
+    ([(0, pauli(0))], "x", f"{_PAIRS} a list holding tuple"),
+    ([("I", pauli(0))], ["x"], "a str, got list"),
+], ids=["ints", "str", "list-pair", "int-label", "list-name"])
+def test_matrix_group_mod_phases_refuses_wrong_types(seeds, name, message):
+    with pytest.raises(TypeError, match=f"^matrix_group_mod_phases needs {re.escape(message)}$"):
+        matrix_group_mod_phases(seeds, name)
+
+
+def test_each_matrix_group_fact_is_derived_once_per_content():
+    """A table, a conjugation character and the D8 lift are memoized on the
+    matrices they are built from, and take a list as well as a tuple."""
+    words, mats = ["I", "X"], [pauli(0), pauli(1)]
+    table = quantum._table("pair", words, mats, ray_key)
+    assert quantum._table("pair", tuple(words), tuple(mats), ray_key) is table
+    assert quantum._table("pair", words, [pauli(0), pauli(1).scale(I)], ray_key) is not table
+    assert lifted_correction_rep_on_d8() is lifted_correction_rep_on_d8()
+    k4 = builtin_group("K4")
+    chi = conj_rep_character_from_matrices(k4, list(pauli_rep_on_k4()))
+    assert conj_rep_character_from_matrices(k4, pauli_rep_on_k4()) is chi
+
+
+def test_a_scaled_d8_lift_after_a_warm_battery_is_refused_on_every_call(monkeypatch):
+    from repcheck import verify
+
+    assert _failures() == {}
+    mats = lifted_correction_rep_on_d8()
+    scaled = (mats[0], mats[1].scale(2)) + mats[2:]
+    monkeypatch.setattr(verify, "lifted_correction_rep_on_d8", lambda: scaled)
+    message = "conjugation character is not constant on the class of z"
+    for _ in range(2):
+        with pytest.raises(NotProjectiveRep, match=f"^{message}$"):
+            conj_rep_character_from_matrices(builtin_group("D8"), list(scaled))
+        assert _failures() == {"matrix-vs-table-conjugation": f"NotProjectiveRep: {message}"}
+
+
+def test_a_changed_phase_gate_is_a_new_d8_lift(monkeypatch):
+    """The lift is memoized on S and sigma_x, not once per process."""
+    lifted_correction_rep_on_d8()
+    monkeypatch.setattr(quantum, "_S", phase_gate().scale(2))
+    assert lifted_correction_rep_on_d8()[1] == phase_gate()
+    with pytest.raises(NotProjectiveRep, match="^conjugation character is not constant on the class of z$"):
+        conj_rep_character_from_matrices(builtin_group("D8"), lifted_correction_rep_on_d8())
 
 
 def _seed_sets():
