@@ -176,12 +176,26 @@ class GroupHom(Record):
         return self.image[a]
 
     def is_surjective(self) -> bool:
+        self._check_fields("GroupHom.is_surjective")
         return set(self.image) == set(self.target.elements())
+
+    def _check_fields(self, caller: str) -> None:
+        """TypeError naming caller unless source and target are GroupTables
+        and image a tuple of int: the record stores its fields unchecked."""
+        for field, cls in (("source", GroupTable), ("target", GroupTable), ("image", tuple)):
+            value = getattr(self, field)
+            if not isinstance(value, cls):
+                raise TypeError(f"{caller} needs a GroupHom whose {field} is a {cls.__name__}, "
+                                f"got {type(value).__name__}")
+        bad = [x for x in self.image if not isinstance(x, int)]
+        if bad:
+            raise TypeError(f"{caller} needs a GroupHom whose image holds int, got {type(bad[0]).__name__}")
 
 
 def verify_hom(h: GroupHom) -> bool:
     """True iff image(a*b) = image(a)*image(b) for all pairs."""
     _require("verify_hom", h, GroupHom)
+    h._check_fields("verify_hom")
     src, tgt, im = h.source, h.target, h.image
     if len(im) != src.order:
         return False

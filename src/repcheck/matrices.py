@@ -5,7 +5,8 @@ tolerance tests.  The protocols need nothing larger than 4x4; products and
 tensor products skip zero operands as they meet them.  Hermitian inner
 products go through ``cyclo.inner``.  ``apply`` keeps each row's non-zero
 entries once per matrix and sums each entry of M v on their integer
-numerators over one running denominator, reduced once.  ``ray_key``
+numerators over one running denominator, reduced once.  A matrix keeps
+its hash and its ``is_unitary`` answer once computed.  ``ray_key``
 scales a matrix so its first non-zero entry is 1, one key per ray.  The
 public constructor coerces entries to CycloNum and refuses ragged rows;
 results built inside the class skip both steps.  The constructor,
@@ -34,7 +35,7 @@ Vector = tuple[CycloNum, ...]
 class ExactMatrix:
     """An immutable rows x cols matrix with CycloNum entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_terms")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_terms", "_unitary")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         rows = _coerced("ExactMatrix", entries)
@@ -56,6 +57,7 @@ class ExactMatrix:
         self.cols = cols if entries else 0  # as the public constructor: no rows, no columns
         self._hash = None  # computed on first use: most matrices are never hashed
         self._terms = None  # each row's non-zero entries, built on the first apply
+        self._unitary = None  # U^dag U = 1, decided on the first is_unitary
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -208,7 +210,9 @@ class ExactMatrix:
         return self == self.dagger()
 
     def is_unitary(self) -> bool:
-        return self.dagger() @ self == ExactMatrix.identity(self.rows)
+        if self._unitary is None:
+            self._unitary = self.dagger() @ self == ExactMatrix.identity(self.rows)
+        return self._unitary
 
     def is_identity(self) -> bool:
         return self == ExactMatrix.identity(self.rows)

@@ -28,7 +28,9 @@ The fixed operators (Paulis, phase gate, Bell basis and its pair
 operators, corrections) are built once at import, and so is the swap
 caches' key for the standard corrections: a swap with ``corrections=None``
 checks only that they cover the instrument's labels, while a caller's own
-table is checked and keyed on every call.  The states the protocols
+table is checked and keyed on every ``entanglement_swap`` call, and once
+per ``iterate_swap_detailed`` call, whose rounds are then one swap-cache
+lookup each, keyed on the state.  The states the protocols
 compute are wrapped with ``PureState._of``, so their amplitudes are not
 re-checked; a caller's state is checked by ``PureState``.  The POVM and its
 instrument are built and checked once per distinct Bell basis and phase
@@ -45,12 +47,15 @@ eps_abc sigma_c) entry for entry; it multiplies matrices only for the
 generators' columns.  The conjugation character of a matrix assignment is
 tr(U x conj U) = |tr U|^2 per element.
 
-These matrix-group facts are derived once per distinct content: each table
-is memoized on its name, words, matrices and key, the conjugation character
-on its group and matrices, and the 16 D8 lifts on S and sigma_x.  A changed
-matrix is new content and is derived and checked again; a refused
-derivation is not memoized, so it raises on every call.  The argument,
-unitarity, element-order and isomorphism checks run on every call.
+These facts are derived once per distinct content: each table is memoized
+on its name, words, matrices and key, the conjugation character on its
+group and matrices, the 16 D8 lifts on S and sigma_x, the teleport scalars
+on the Paulis and pair operators, and the swap scalars on the instrument
+and corrections key.  A matrix keeps its own ``is_unitary`` answer and an
+instrument its ``is_complete`` answer.  A changed matrix or operator is new
+content and is derived and checked again; a refused derivation is not
+memoized, so it raises on every call.  The argument, element-order and
+isomorphism checks run on every call.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -153,11 +158,23 @@ _STANDARD_CORRECTIONS = tuple(
 )
 
 
+class _Key(tuple):
+    """A tuple that keeps its hash: a swap round hashes its key on every
+    cache lookup.  It equals, and hashes as, the plain tuple."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def _correction_key(corrections: Mapping[str, tuple[str, ExactMatrix]]) -> tuple:
     """(label, correction label, matrix) per outcome, sorted by label: the
     swap caches' key for a corrections table."""
-    return tuple(sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
-                        key=lambda item: item[0]))
+    return _Key(sorted(((lbl, cl, m) for lbl, (cl, m) in corrections.items()),
+                       key=lambda item: item[0]))
 
 
 # built from 2x2 matrices above, so a swap with corrections=None checks only
@@ -296,9 +313,15 @@ def _scalar(m: ExactMatrix, weight: CycloNum, bound: Fraction, what: str) -> Cyc
 def teleport_scalars() -> dict[str, CycloNum]:
     """Outcome k -> lambda with sigma_k B_k = lambda * 1, |lambda|^2 = 1/4: as
     sigma_k is unitary, every input goes to each outcome with probability 1/4
-    and its output is lambda times the input.  ValueError names a failing k."""
-    return {str(k): _scalar(pauli(k) @ b, ONE, Fraction(1, 4), f"teleport outcome {k}")
-            for k, b in enumerate(_BELL_PAIR_OPERATORS)}
+    and its output is lambda times the input.  ValueError names a failing k.
+    Derived once per Paulis and pair operators; a new dict on every call."""
+    return dict(_teleport_proof(tuple(_PAULIS.values()), _BELL_PAIR_OPERATORS))
+
+
+@lru_cache(maxsize=4)
+def _teleport_proof(paulis: tuple[ExactMatrix, ...], pair_ops: tuple[ExactMatrix, ...]) -> tuple:
+    return tuple((str(k), _scalar(p @ b, ONE, Fraction(1, 4), f"teleport outcome {k}"))
+                 for k, (p, b) in enumerate(zip(paulis, pair_ops)))
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +350,11 @@ class Instrument(Record):
     kraus: tuple[ExactMatrix, ...]
 
     def is_complete(self) -> bool:
+        return self._complete
+
+    @cached_property
+    def _complete(self) -> bool:
+        # once per instrument: a record is frozen
         dim = self.kraus[0].rows
         total = ExactMatrix.zeros(dim, dim)
         for m in self.kraus:
@@ -395,21 +423,25 @@ def entanglement_swap(
     """
     if not isinstance(inst, Instrument):
         raise TypeError(f"entanglement_swap needs an Instrument, got {type(inst).__name__}")
-    standard = corrections is None
-    if standard:
-        corrections = _STANDARD_TABLE
     if left is None:
         left = bell_state()
     if not isinstance(left, PureState):
         raise TypeError(f"entanglement_swap needs a PureState, got {type(left).__name__}")
     if left.dim != 4:
         raise ValueError("left leg must be a two-qubit state")
-    missing = [lbl for lbl in inst.labels if lbl not in corrections]
+    return _swap_cached(inst, _checked_key(inst, corrections), left)
+
+
+def _checked_key(inst: Instrument, corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]]) -> tuple:
+    """The swap caches' key for corrections (None: the standard table), once
+    they cover inst's labels, each with a 2x2 ExactMatrix."""
+    table = _STANDARD_TABLE if corrections is None else corrections
+    missing = [lbl for lbl in inst.labels if lbl not in table]
     if missing:
         raise ValueError(f"corrections lack outcome labels {missing}; "
                          f"the instrument's labels are {list(inst.labels)}")
-    if standard:
-        return _swap_cached(inst, _STANDARD_KEY, left.vector)
+    if corrections is None:
+        return _STANDARD_KEY
     for lbl in inst.labels:
         corr = corrections[lbl][1]
         if not isinstance(corr, ExactMatrix):
@@ -417,7 +449,7 @@ def entanglement_swap(
                             f"got {type(corr).__name__}")
         if (corr.rows, corr.cols) != (2, 2):
             raise ValueError(f"the correction of outcome {lbl} is {corr.rows}x{corr.cols}, not 2x2")
-    return _swap_cached(inst, _correction_key(corrections), left.vector)
+    return _correction_key(corrections)
 
 
 @lru_cache(maxsize=8)
@@ -457,16 +489,24 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
 def swap_scalars() -> dict[str, CycloNum]:
     """Outcome label -> lambda with C B = lambda * 1, |lambda|^2 <u|u> = 1/8, in
     the standard swap plan: as C is unitary, every left state goes to each outcome
-    with probability 1/8 onto its own ray, so CHSH holds.  ValueError names a failing one."""
+    with probability 1/8 onto its own ray, so CHSH holds.  ValueError names a failing one.
+    Derived once per instrument and corrections key; a new dict on every call."""
     _, inst = povm_construction()
-    return {label: _scalar(corr @ pair_op, uu, Fraction(1, 8), f"swap outcome {label}")
-            for label, pair_op, uu, _, corr, _ in _swap_plan(inst, _STANDARD_KEY)}
+    return dict(_swap_proof(inst, _STANDARD_KEY))
+
+
+@lru_cache(maxsize=4)
+def _swap_proof(inst: Instrument, corr_key: tuple) -> tuple:
+    return tuple((label, _scalar(corr @ pair_op, uu, Fraction(1, 8), f"swap outcome {label}"))
+                 for label, pair_op, uu, _, corr, _ in _swap_plan(inst, corr_key))
 
 
 # Hits come from few keys (a seeded swap chain of any length misses twice,
 # verify-all three times); fresh states never repeat.  An entry is ~17 KB.
+# Keyed on the left state, whose hash its record keeps.
 @lru_cache(maxsize=16)
-def _swap_cached(inst: Instrument, corr_key: tuple, left_vector: Vector) -> ProtocolTrace:
+def _swap_cached(inst: Instrument, corr_key: tuple, left: PureState) -> ProtocolTrace:
+    left_vector = left.vector
     low, high = left_vector[:2], left_vector[2:]
     inv_total = inner(left_vector, left_vector).inverse()  # <Phi|Phi> is 1
     settings = tsirelson_settings()
@@ -528,11 +568,13 @@ def iterate_swap_detailed(
         if unknown:
             raise ValueError(f"outcome_path has unknown labels {list(unknown)}; "
                              f"the instrument's labels are {list(inst.labels)}")
+    # checked once: each round is then one swap-cache lookup
+    corr_key = _checked_key(inst, corrections)
     rng = random.Random(seed) if seed is not None else None
     state = bell_state()
     out = []
     for i in range(rounds):
-        trace = entanglement_swap(inst, corrections, left=state)
+        trace = _swap_cached(inst, corr_key, state)
         if outcome_path is not None:
             label = outcome_path[i]
         elif rng is not None:

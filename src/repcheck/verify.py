@@ -14,7 +14,12 @@ FAIL rather than passing silently.
 No check samples: the protocol and matrix identities are proved for every
 input by finite ones (quantum's teleport_scalars and swap_scalars, U^dag U
 = 1 per correction, the four matrix units); iterate-swap's seeds drive the
-program's own seeded outcome choice.
+program's own seeded outcome choice.  The protocol facts are kept as the
+matrix-group ones are: the teleport and swap scalars once per operator
+content, each matrix's unitarity on the matrix (hs-unitarity and
+correction-group share it) and the instrument's completeness on the
+instrument (povm and the swap plan share it).  iterate-swap checks each
+chain's arguments once, and each round is one swap-cache lookup.
 """
 
 from __future__ import annotations
@@ -195,22 +200,22 @@ def _check_brute_force_oracle() -> str:
     both D4 projective classes up to the degree bound: only irreducibles
     ever hit a family target."""
     t4 = char_table(builtin_group("D4"))
-    targets_on_d4 = {}
+    # target -> the families with it, so each swept character is one probe
+    targets_on_d4: dict = {}
     for f in seven_families():
         if f.group.name == "D4":
-            targets_on_d4[f.name] = f.target
+            targets_on_d4.setdefault(f.target, []).append(f.name)
         elif f.group.name == "K4":
-            targets_on_d4[f.name] = k4_target_pulled_to_d4(f.target)
+            targets_on_d4.setdefault(k4_target_pulled_to_d4(f.target), []).append(f.name)
 
     nontrivial = tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL))
     swept = [("trivial", ns, cchi) for ns, cchi in conj_sweep(t4.irreducibles, 4)]
     swept += [("non-trivial", ns, push_to_quotient(cchi)) for ns, cchi in conj_sweep(nontrivial, 4)]
     matches = []
     for tag, ns, cchi in swept:
-        for fname, target in targets_on_d4.items():
-            if cchi == target:
-                _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
-                matches.append((f"{tag}:{ns}", fname))
+        for fname in targets_on_d4.get(cchi, ()):
+            _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
+            matches.append((f"{tag}:{ns}", fname))
 
     matched_families = sorted({fname for _, fname in matches})
     _require(matched_families == ["D4_125", "K4_1234"], matched_families)

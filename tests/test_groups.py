@@ -1,5 +1,6 @@
 """Group tables, conjugacy structure, quotients and homomorphisms."""
 
+import re
 from itertools import product
 
 import pytest
@@ -332,3 +333,24 @@ _D4 = builtin_group("D4")
 def test_a_wrong_type_argument_is_a_type_error_naming_the_function(name, call, wanted, bad):
     with pytest.raises(TypeError, match=f"^{name} needs a {wanted}, got {type(bad).__name__}$"):
         call(bad)
+
+
+_K4 = builtin_group("K4")
+
+
+@pytest.mark.parametrize("fields,message", [
+    (("x", "x", "x"), "whose source is a GroupTable, got str"),
+    ((_K4, None, (0, 1, 2, 3)), "whose target is a GroupTable, got NoneType"),
+    ((_K4, _K4, [0, 1, 2, 3]), "whose image is a tuple, got list"),
+    ((_K4, _K4, (0, 1, 2, "3")), "whose image holds int, got str"),
+    ((_K4, _K4, (0, 1, 2, None)), "whose image holds int, got NoneType"),
+], ids=["source", "target", "image-list", "image-str", "image-None"])
+@pytest.mark.parametrize("name,call", [
+    ("verify_hom", verify_hom),
+    ("GroupHom.is_surjective", GroupHom.is_surjective),
+], ids=["verify_hom", "is_surjective"])
+def test_a_hom_with_wrong_field_types_is_a_type_error_naming_the_function(name, call, fields, message):
+    """GroupHom stores its fields unchecked; the functions that read them
+    refuse a wrong one by name instead of ending in AttributeError."""
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name} needs a GroupHom {message}')}$"):
+        call(GroupHom(*fields))

@@ -850,6 +850,12 @@ def _failures():
     return {r.name: r.detail for r in verify.run_all() if not r.ok}
 
 
+def _warm_twice():
+    """Two warm batteries: every memo, slot and cached answer is filled."""
+    assert _failures() == {}
+    assert _failures() == {}
+
+
 def _not_scalar(what, weight, bound):
     return f"{what}: the corrected map is not lambda * 1 with |lambda|^2 * {weight} = {bound}"
 
@@ -864,24 +870,32 @@ def test_every_corrected_map_is_a_scalar_of_the_stated_modulus():
 
 
 def test_rotated_pair_operators_fail_the_teleport_proof_and_check(monkeypatch):
-    """sigma_0 B_1 = B_1 is sigma_1 / 2, no scalar."""
+    """sigma_0 B_1 = B_1 is sigma_1 / 2, no scalar.  The proof is keyed on
+    the operators it reads, so after warm batteries the rotated tuple is new
+    content, refused on every call."""
+    _warm_twice()
     ops = quantum._BELL_PAIR_OPERATORS
     monkeypatch.setattr(quantum, "_BELL_PAIR_OPERATORS", ops[1:] + ops[:1])
     message = _not_scalar("teleport outcome 0", 1, "1/4")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        quantum.teleport_scalars()
-    assert _failures() == {"teleport": f"ValueError: {message}"}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quantum.teleport_scalars()
+        assert _failures() == {"teleport": f"ValueError: {message}"}
 
 
 def test_a_correction_scaled_by_two_fails_the_swap_proof_and_check(monkeypatch):
     """|2 lambda|^2 <u|u> is 1/2: the post state is off the input's norm, so
-    the proof fails, although CHSH, blind to a scalar, still holds."""
+    the proof fails, although CHSH, blind to a scalar, still holds.  The
+    proof is keyed on the instrument and the key, so after warm batteries
+    the scaled key is new content, refused on every call."""
+    _warm_twice()
     key = tuple((lbl, cl, m.scale(2) if lbl == "a0" else m) for lbl, cl, m in quantum._STANDARD_KEY)
     monkeypatch.setattr(quantum, "_STANDARD_KEY", key)
     message = _not_scalar("swap outcome a0", 2, "1/8")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        quantum.swap_scalars()
-    assert _failures() == {"entanglement-swap": f"ValueError: {message}"}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quantum.swap_scalars()
+        assert _failures() == {"entanglement-swap": f"ValueError: {message}"}
 
 
 def test_a_phase_on_a_correction_keeps_the_swap_proof(monkeypatch):
@@ -892,13 +906,81 @@ def test_a_phase_on_a_correction_keeps_the_swap_proof(monkeypatch):
 
 
 def test_a_non_unitary_correction_fails_hs_unitarity(monkeypatch):
+    """A matrix keeps its is_unitary answer, so after warm batteries the
+    doubled matrix is new content, refused on every battery."""
+    _warm_twice()
     doubled = tuple(
         (lbl, (cl, m.scale(2) if lbl == "a1" else m)) for lbl, (cl, m) in quantum._STANDARD_CORRECTIONS
     )
     monkeypatch.setattr(quantum, "_STANDARD_CORRECTIONS", doubled)
-    failures = _failures()
-    assert failures["hs-unitarity"] == "CheckFailed: the correction of outcome a1 is not unitary"
-    assert set(failures) == {"hs-unitarity", "correction-group"}
+    for _ in range(2):
+        assert _failures() == {
+            "hs-unitarity": "CheckFailed: the correction of outcome a1 is not unitary",
+            "correction-group": "ValueError: seed SX is not unitary",
+        }
+
+
+def test_a_third_warm_battery_derives_no_protocol_fact_again(monkeypatch):
+    """is_unitary, is_complete, teleport_scalars and swap_scalars each
+    multiply matrices only the first time they see their content."""
+    from repcheck import verify
+
+    _warm_twice()
+    inside, seen, products = [], set(), []
+
+    def tracking(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.add(name)
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    matmul = ExactMatrix.__matmul__
+
+    def counting(self, other):
+        if inside:
+            products.append(inside[-1])
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    monkeypatch.setattr(ExactMatrix, "is_unitary", tracking("is_unitary", ExactMatrix.is_unitary))
+    monkeypatch.setattr(Instrument, "is_complete", tracking("is_complete", Instrument.is_complete))
+    for name in ("teleport_scalars", "swap_scalars"):
+        wrapped = tracking(name, getattr(quantum, name))
+        monkeypatch.setattr(quantum, name, wrapped)
+        monkeypatch.setattr(verify, name, wrapped)
+    assert _failures() == {}
+    assert seen == {"is_unitary", "is_complete", "teleport_scalars", "swap_scalars"}
+    assert products == []
+
+
+@pytest.mark.parametrize("inst,corrections,error,message", [
+    ((1, 2), None, TypeError, "iterate_swap_detailed needs an Instrument, got tuple"),
+    (None, {"b0": ("I", pauli(0))}, ValueError,
+     "corrections lack outcome labels ['b1', 'b2', 'b3', 'a0', 'a1', 'a2', 'a3']; "
+     "the instrument's labels are ['b0', 'b1', 'b2', 'b3', 'a0', 'a1', 'a2', 'a3']"),
+    (None, dict(standard_corrections(), b1=("X", ExactMatrix.identity(3))), ValueError,
+     "the correction of outcome b1 is 3x3, not 2x2"),
+    (None, {lbl: (cl, ExactMatrix.identity(3)) for lbl, (cl, _) in standard_corrections().items()
+            if lbl != "a3"}, ValueError,
+     "corrections lack outcome labels ['a3']; "
+     "the instrument's labels are ['b0', 'b1', 'b2', 'b3', 'a0', 'a1', 'a2', 'a3']"),
+], ids=["not-an-instrument", "lacks-labels", "3x3", "lacks-a-label-before-3x3"])
+def test_iterate_swap_checks_its_arguments_before_any_round(monkeypatch, inst, corrections, error, message):
+    """The chain checks its instrument and corrections once, with the swap's
+    own messages in the swap's order, and runs no round when they fail."""
+    rounds = []
+    monkeypatch.setattr(quantum, "_swap_cached", lambda *args: rounds.append(args))
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            iterate_swap_detailed(3, outcome_path=["b0"] * 3, inst=inst, corrections=corrections)
+        if inst is None:  # the single swap gives the same message
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                entanglement_swap(povm_construction()[1], corrections)
+    assert rounds == []
 
 
 @pytest.mark.parametrize("fault,message", [
