@@ -272,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# warm-only: a process reads it once; repeated in-process main() calls read it again
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser main() uses, built on its first call.  parse_args keeps no

@@ -25,19 +25,14 @@ C B is lambda * 1 (``teleport_scalars``, ``swap_scalars``), so its
 probability is fixed and its output lies on the input's ray for every input.
 
 The fixed operators (Paulis, phase gate, Bell basis and its pair
-operators, corrections) are built once at import, and so is the swap
-caches' key for the standard corrections: a swap with ``corrections=None``
-checks only that they cover the instrument's labels, while a caller's own
-table is checked and keyed on every ``entanglement_swap`` call, and once
-per ``iterate_swap_detailed`` call, whose rounds are then one swap-cache
-lookup each, keyed on the state.  The states the protocols
-compute are wrapped with ``PureState._of``, so their amplitudes are not
-re-checked; a caller's state is checked by ``PureState``.  The POVM and its
-instrument are built and checked once per distinct Bell basis and phase
-gate; each effect's matrix is derived from its scale and vector, and each
-Kraus operator is sqrt2 times its effect.  ``povm_construction`` returns a
-new list of the shared effects on every call, together with the one shared
-Instrument.
+operators, corrections, CHSH settings) are built once at import, and so is
+the swap caches' key for the standard corrections: a swap with
+``corrections=None`` checks only that they cover the instrument's labels,
+while a caller's own table is checked and keyed on every
+``entanglement_swap`` call, and once per ``iterate_swap_detailed`` call,
+whose rounds are then one swap-cache lookup each, keyed on the state.  The
+POVM and its instrument are built and checked once per distinct Bell basis
+and phase gate; each Kraus operator is sqrt2 times its effect.
 
 Both matrix groups are tabulated by one builder: the corrections mod
 phases, where ``matrices.ray_key`` identifies matrices that are equal up to
@@ -47,15 +42,11 @@ eps_abc sigma_c) entry for entry; it multiplies matrices only for the
 generators' columns.  The conjugation character of a matrix assignment is
 tr(U x conj U) = |tr U|^2 per element.
 
-These facts are derived once per distinct content: each table is memoized
-on its name, words, matrices and key, the conjugation character on its
-group and matrices, the 16 D8 lifts on S and sigma_x, the teleport scalars
-on the Paulis and pair operators, and the swap scalars on the instrument
-and corrections key.  A matrix keeps its own ``is_unitary`` answer and an
-instrument its ``is_complete`` answer.  A changed matrix or operator is new
-content and is derived and checked again; a refused derivation is not
-memoized, so it raises on every call.  The argument, element-order and
-isomorphism checks run on every call.
+Each table is memoized on its name, words, matrices and key, and each
+conjugation character on its group and matrices; a changed matrix is new
+content, and a refused derivation raises on every call.  The teleport and
+swap scalars and the D8 lifts are derived on every call.  Each memo's site
+names the command that reads it again.
 """
 
 from __future__ import annotations
@@ -201,13 +192,16 @@ def bell_state() -> PureState:
     return _PHI
 
 
-@lru_cache(maxsize=1)
+_TSIRELSON_SETTINGS = (_PAULIS[3], _PAULIS[1], (_PAULIS[3] + _PAULIS[1]).scale(INV_SQRT2),
+                       (_PAULIS[3] - _PAULIS[1]).scale(INV_SQRT2))
+
+
 def tsirelson_settings() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
     """(A0, A1, C0, C1) = (sz, sx, (sz+sx)/sqrt2, (sz-sx)/sqrt2)."""
-    sz, sx = pauli(3), pauli(1)
-    return (sz, sx, (sz + sx).scale(INV_SQRT2), (sz - sx).scale(INV_SQRT2))
+    return _TSIRELSON_SETTINGS
 
 
+# read again 5 times in a verify-all process, once in simulate-swap
 @lru_cache(maxsize=8)
 def _bell_operator(settings: tuple[ExactMatrix, ...]) -> ExactMatrix:
     a0, a1, c0, c1 = settings
@@ -313,15 +307,9 @@ def _scalar(m: ExactMatrix, weight: CycloNum, bound: Fraction, what: str) -> Cyc
 def teleport_scalars() -> dict[str, CycloNum]:
     """Outcome k -> lambda with sigma_k B_k = lambda * 1, |lambda|^2 = 1/4: as
     sigma_k is unitary, every input goes to each outcome with probability 1/4
-    and its output is lambda times the input.  ValueError names a failing k.
-    Derived once per Paulis and pair operators; a new dict on every call."""
-    return dict(_teleport_proof(tuple(_PAULIS.values()), _BELL_PAIR_OPERATORS))
-
-
-@lru_cache(maxsize=4)
-def _teleport_proof(paulis: tuple[ExactMatrix, ...], pair_ops: tuple[ExactMatrix, ...]) -> tuple:
-    return tuple((str(k), _scalar(p @ b, ONE, Fraction(1, 4), f"teleport outcome {k}"))
-                 for k, (p, b) in enumerate(zip(paulis, pair_ops)))
+    and its output is lambda times the input.  ValueError names a failing k."""
+    return {str(k): _scalar(_PAULIS[k] @ b, ONE, Fraction(1, 4), f"teleport outcome {k}")
+            for k, b in enumerate(_BELL_PAIR_OPERATORS)}
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +337,23 @@ class Instrument(Record):
     labels: tuple[str, ...]
     kraus: tuple[ExactMatrix, ...]
 
+    def __post_init__(self):
+        # tuples, so the swap caches can key on the instrument
+        for name, kind in (("labels", str), ("kraus", ExactMatrix)):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                got = type(value).__name__
+            elif not value:
+                got = "an empty tuple"
+            else:
+                bad = [type(x).__name__ for x in value if not isinstance(x, kind)]
+                if not bad:
+                    continue
+                got = f"a tuple holding {bad[0]}"
+            raise TypeError(f"Instrument {name} must be a non-empty tuple of {kind.__name__}, got {got}")
+        if len(self.labels) != len(self.kraus):
+            raise ValueError(f"Instrument has {len(self.labels)} labels and {len(self.kraus)} Kraus operators")
+
     def is_complete(self) -> bool:
         return self._complete
 
@@ -375,6 +380,7 @@ def povm_construction() -> tuple[list[Effect], Instrument]:
     return list(effects), inst
 
 
+# read again 4 times in a verify-all process
 @lru_cache(maxsize=4)
 def _povm_built(
     basis: tuple[PureState, ...], s: ExactMatrix
@@ -452,6 +458,7 @@ def _checked_key(inst: Instrument, corrections: Optional[Mapping[str, tuple[str,
     return _correction_key(corrections)
 
 
+# read again twice in a verify-all process, once in simulate-swap
 @lru_cache(maxsize=8)
 def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
     """(label, B, <u|u>, correction label, correction C, CHSH class) for
@@ -489,21 +496,16 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
 def swap_scalars() -> dict[str, CycloNum]:
     """Outcome label -> lambda with C B = lambda * 1, |lambda|^2 <u|u> = 1/8, in
     the standard swap plan: as C is unitary, every left state goes to each outcome
-    with probability 1/8 onto its own ray, so CHSH holds.  ValueError names a failing one.
-    Derived once per instrument and corrections key; a new dict on every call."""
+    with probability 1/8 onto its own ray, so CHSH holds.  ValueError names a failing one."""
     _, inst = povm_construction()
-    return dict(_swap_proof(inst, _STANDARD_KEY))
-
-
-@lru_cache(maxsize=4)
-def _swap_proof(inst: Instrument, corr_key: tuple) -> tuple:
-    return tuple((label, _scalar(corr @ pair_op, uu, Fraction(1, 8), f"swap outcome {label}"))
-                 for label, pair_op, uu, _, corr, _ in _swap_plan(inst, corr_key))
+    return {label: _scalar(corr @ pair_op, uu, Fraction(1, 8), f"swap outcome {label}")
+            for label, pair_op, uu, _, corr, _ in _swap_plan(inst, _STANDARD_KEY)}
 
 
 # Hits come from few keys (a seeded swap chain of any length misses twice,
 # verify-all three times); fresh states never repeat.  An entry is ~17 KB.
-# Keyed on the left state, whose hash its record keeps.
+# Keyed on the left state, whose hash its record keeps.  Read again 227
+# times in a verify-all process, 998 in simulate-swap --rounds 1000.
 @lru_cache(maxsize=16)
 def _swap_cached(inst: Instrument, corr_key: tuple, left: PureState) -> ProtocolTrace:
     left_vector = left.vector
@@ -626,6 +628,7 @@ def _table(
     return _tabulated(name, tuple(words), tuple(mats), key)
 
 
+# warm-only: no one-shot command reads it again; it saves a warm verify-all ~1.3 ms
 @lru_cache(maxsize=8)
 def _tabulated(
     name: str,
@@ -752,6 +755,7 @@ def conj_rep_character_from_matrices(
     return _conj_character_of(group, tuple(mats))
 
 
+# warm-only: no one-shot command reads it again; it saves a warm verify-all ~0.8 ms
 @lru_cache(maxsize=8)
 def _conj_character_of(group: GroupTable, mats: tuple[ExactMatrix, ...]) -> ClassFunction:
     """conj_rep_character_from_matrices on checked arguments, memoized on
@@ -793,13 +797,7 @@ def pauli_rep_on_k4() -> tuple[ExactMatrix, ...]:
 
 def lifted_correction_rep_on_d8() -> tuple[ExactMatrix, ...]:
     """D8 element z^i h^j (index i + 8j) realized as S^i sigma_x^j."""
-    return _lifted(_S, pauli(1))
-
-
-@lru_cache(maxsize=4)
-def _lifted(s: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ...]:
-    """The 16 lifts, built once per distinct S and sigma_x."""
     powers = [_EYE2]
     for _ in range(7):
-        powers.append(powers[-1] @ s)
-    return tuple(powers) + tuple(m @ x for m in powers)
+        powers.append(powers[-1] @ _S)
+    return tuple(powers) + tuple(m @ pauli(1) for m in powers)

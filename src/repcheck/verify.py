@@ -1,25 +1,19 @@
 """Named runtime verification battery behind the CLI's verify-all command.
 
 Each check re-derives a pinned fact and reports one line; the brute-force
-sweeps read characters.conj_sweep, one memo per character list and degree
-bound, and correction-group and matrix-vs-table-conjugation read quantum's
-matrix tables, conjugation characters and D8 lifts, one memo per matrix
-content, so a warm run does not redo them (a changed table or matrix is
-new content).  multiplicity-sweep proves m1 = sum n_i^2 for every degree
-from the 15 values that fix the quadratic form m1(n), with no sweep.
-Everything here is an exact (equality) assertion; a corrupted table, a
-wrong correction or a broken identity flips the corresponding check to
-FAIL rather than passing silently.
+sweep reads characters.conj_sweep, and correction-group and
+matrix-vs-table-conjugation read quantum's matrix tables and conjugation
+characters, one memo per content, so a warm run does not redo them (a
+changed table or matrix is new content).  Everything here is an exact
+(equality) assertion; a corrupted table, a wrong correction or a broken
+identity flips the corresponding check to FAIL rather than passing silently.
 
 No check samples: the protocol and matrix identities are proved for every
 input by finite ones (quantum's teleport_scalars and swap_scalars, U^dag U
-= 1 per correction, the four matrix units); iterate-swap's seeds drive the
-program's own seeded outcome choice.  The protocol facts are kept as the
-matrix-group ones are: the teleport and swap scalars once per operator
-content, each matrix's unitarity on the matrix (hs-unitarity and
-correction-group share it) and the instrument's completeness on the
-instrument (povm and the swap plan share it).  iterate-swap checks each
-chain's arguments once, and each round is one swap-cache lookup.
+= 1 per correction, the four matrix units), and multiplicity-sweep proves
+m1 = sum n_i^2 for every degree from the 15 values that fix the quadratic
+form m1(n); iterate-swap's seeds drive the program's own seeded outcome
+choice, and each chain checks its arguments once.
 """
 
 from __future__ import annotations
@@ -68,6 +62,7 @@ from .quantum import (
     lifted_correction_rep_on_d8,
     pauli,
     pauli_rep_on_k4,
+    phase_gate,
     povm_construction,
     pvm_counting_check,
     standard_corrections,
@@ -252,14 +247,10 @@ def _check_teleport() -> str:
 
 
 def _check_povm() -> str:
-    effects, inst = povm_construction()
-    total = ExactMatrix.zeros(4, 4)
-    for e in effects:
-        total = total + e.matrix
-    _require(total.is_identity())
+    # the effects sum to the identity: quantum._povm_built refuses a half
+    # that does not sum to I/2, so no effect list reaches here unchecked
+    _, inst = povm_construction()
     _require(inst.is_complete())
-    from .quantum import phase_gate
-
     s = phase_gate()
     products = [s @ pauli(j) for j in range(4)]
     for j, sj in enumerate(products):

@@ -31,7 +31,7 @@ ALLOWED = {
     **{name: (BAD, "returns", _RECORD)
        for name in ("groups.ConjClassPartition", "groups.GroupHom", "characters.CharTable",
                     "classify.ObstructionRecord", "classify.Witness", "classify.Verdict",
-                    "quantum.OutcomeRecord", "quantum.ProtocolTrace", "quantum.Instrument")},
+                    "quantum.OutcomeRecord", "quantum.ProtocolTrace")},
     "matrices.outer": (((1, 2),), "returns", _INTS),
     "ExactMatrix.diag": (((1, 2),), "returns", _INTS),
     "classify.family_by_name": (("x",), "KeyError", _MISS),

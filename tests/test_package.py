@@ -74,3 +74,39 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, program):
     assert {n for n in loaded if n.split(".")[0] == "repcheck"} == program
     if program == _TABLES:
         assert "dataclasses" not in loaded
+
+
+# the memos that no one-shot command reads again: each serves only in-process
+# repeats, a warm battery or a second cli.main, as in the benchmark's ops
+WARM_ONLY = {"characters.conj_sweep", "quantum._tabulated", "quantum._conj_character_of", "cli._parser"}
+
+_MEMO_HITS = """
+import json, sys
+from repcheck import cli
+assert cli.main(sys.argv[1:]) == 0
+hits = {}
+for name, mod in list(sys.modules.items()):
+    if name.startswith("repcheck."):
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == name:
+                hits[name[len("repcheck."):] + "." + attr] = obj.cache_info().hits
+print(json.dumps(hits))
+"""
+
+
+def test_every_memo_is_read_again_by_a_one_shot_command_or_is_warm_only(tmp_path):
+    """Each lru_cache of the package hits in a fresh verify-all, classify or
+    simulate-swap process, or is one of WARM_ONLY, which hit in none."""
+    memos = set()
+    for m in MODULES + ("cli",):
+        mod = importlib.import_module(f"repcheck.{m}")
+        memos |= {f"{m}.{attr}" for attr, obj in vars(mod).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    src = os.path.dirname(os.path.dirname(repcheck.__file__))
+    hit = set()
+    for argv in (["verify-all"], ["classify", "--json"], ["simulate-swap", "--rounds", "1000", "--seed", "7"]):
+        out = subprocess.run([sys.executable, "-c", _MEMO_HITS, *argv, "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                             check=True).stdout
+        hit |= {memo for memo, hits in json.loads(out).items() if hits}
+    assert memos - hit == WARM_ONLY

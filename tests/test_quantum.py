@@ -396,6 +396,28 @@ def test_swap_rejects_incomplete_instrument():
         entanglement_swap(broken)
 
 
+_LABELS, _KRAUS = povm_construction()[1].labels, povm_construction()[1].kraus
+
+
+@pytest.mark.parametrize("labels,kraus,error,message", [
+    (_LABELS, "x", TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got str"),
+    (_LABELS, (1, 2), TypeError,
+     "Instrument kraus must be a non-empty tuple of ExactMatrix, got a tuple holding int"),
+    (_LABELS, (), TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got an empty tuple"),
+    (_LABELS, list(_KRAUS), TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got list"),
+    ("b0", _KRAUS, TypeError, "Instrument labels must be a non-empty tuple of str, got str"),
+    ((0,) * 8, _KRAUS, TypeError,
+     "Instrument labels must be a non-empty tuple of str, got a tuple holding int"),
+    (_LABELS[:7], _KRAUS, ValueError, "Instrument has 7 labels and 8 Kraus operators"),
+    (_LABELS, _KRAUS + _KRAUS[:1], ValueError, "Instrument has 8 labels and 9 Kraus operators"),
+], ids=["str-kraus", "int-kraus", "no-kraus", "list-kraus", "str-labels", "int-labels",
+        "fewer-labels", "more-kraus"])
+def test_an_instrument_refuses_wrong_fields_by_name(labels, kraus, error, message):
+    """Refused when built, so no swap meets a field it cannot read."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Instrument(labels, kraus)
+
+
 def test_zero_kraus_operator_gives_a_zero_probability_record():
     _, inst = povm_construction()
     padded = Instrument(labels=inst.labels + ("z",),
@@ -870,9 +892,9 @@ def test_every_corrected_map_is_a_scalar_of_the_stated_modulus():
 
 
 def test_rotated_pair_operators_fail_the_teleport_proof_and_check(monkeypatch):
-    """sigma_0 B_1 = B_1 is sigma_1 / 2, no scalar.  The proof is keyed on
-    the operators it reads, so after warm batteries the rotated tuple is new
-    content, refused on every call."""
+    """sigma_0 B_1 = B_1 is sigma_1 / 2, no scalar.  The proof reads the
+    operators on every call, so after warm batteries the rotated tuple is
+    refused on every call."""
     _warm_twice()
     ops = quantum._BELL_PAIR_OPERATORS
     monkeypatch.setattr(quantum, "_BELL_PAIR_OPERATORS", ops[1:] + ops[:1])
@@ -886,8 +908,8 @@ def test_rotated_pair_operators_fail_the_teleport_proof_and_check(monkeypatch):
 def test_a_correction_scaled_by_two_fails_the_swap_proof_and_check(monkeypatch):
     """|2 lambda|^2 <u|u> is 1/2: the post state is off the input's norm, so
     the proof fails, although CHSH, blind to a scalar, still holds.  The
-    proof is keyed on the instrument and the key, so after warm batteries
-    the scaled key is new content, refused on every call."""
+    proof reads the key on every call, so after warm batteries the scaled
+    key is refused on every call."""
     _warm_twice()
     key = tuple((lbl, cl, m.scale(2) if lbl == "a0" else m) for lbl, cl, m in quantum._STANDARD_KEY)
     monkeypatch.setattr(quantum, "_STANDARD_KEY", key)
@@ -921,10 +943,8 @@ def test_a_non_unitary_correction_fails_hs_unitarity(monkeypatch):
 
 
 def test_a_third_warm_battery_derives_no_protocol_fact_again(monkeypatch):
-    """is_unitary, is_complete, teleport_scalars and swap_scalars each
-    multiply matrices only the first time they see their content."""
-    from repcheck import verify
-
+    """is_unitary and is_complete each multiply matrices only the first time
+    they see their matrix or instrument."""
     _warm_twice()
     inside, seen, products = [], set(), []
 
@@ -948,12 +968,8 @@ def test_a_third_warm_battery_derives_no_protocol_fact_again(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
     monkeypatch.setattr(ExactMatrix, "is_unitary", tracking("is_unitary", ExactMatrix.is_unitary))
     monkeypatch.setattr(Instrument, "is_complete", tracking("is_complete", Instrument.is_complete))
-    for name in ("teleport_scalars", "swap_scalars"):
-        wrapped = tracking(name, getattr(quantum, name))
-        monkeypatch.setattr(quantum, name, wrapped)
-        monkeypatch.setattr(verify, name, wrapped)
     assert _failures() == {}
-    assert seen == {"is_unitary", "is_complete", "teleport_scalars", "swap_scalars"}
+    assert seen == {"is_unitary", "is_complete"}
     assert products == []
 
 
@@ -1042,13 +1058,14 @@ def test_matrix_group_mod_phases_refuses_wrong_types(seeds, name, message):
 
 
 def test_each_matrix_group_fact_is_derived_once_per_content():
-    """A table, a conjugation character and the D8 lift are memoized on the
-    matrices they are built from, and take a list as well as a tuple."""
+    """A table and a conjugation character are memoized on the matrices
+    they are built from, and take a list as well as a tuple; the D8 lift is
+    built on every call, the same each time."""
     words, mats = ["I", "X"], [pauli(0), pauli(1)]
     table = quantum._table("pair", words, mats, ray_key)
     assert quantum._table("pair", tuple(words), tuple(mats), ray_key) is table
     assert quantum._table("pair", words, [pauli(0), pauli(1).scale(I)], ray_key) is not table
-    assert lifted_correction_rep_on_d8() is lifted_correction_rep_on_d8()
+    assert lifted_correction_rep_on_d8() == lifted_correction_rep_on_d8()
     k4 = builtin_group("K4")
     chi = conj_rep_character_from_matrices(k4, list(pauli_rep_on_k4()))
     assert conj_rep_character_from_matrices(k4, pauli_rep_on_k4()) is chi
@@ -1069,7 +1086,7 @@ def test_a_scaled_d8_lift_after_a_warm_battery_is_refused_on_every_call(monkeypa
 
 
 def test_a_changed_phase_gate_is_a_new_d8_lift(monkeypatch):
-    """The lift is memoized on S and sigma_x, not once per process."""
+    """The lift reads S on every call, not once per process."""
     lifted_correction_rep_on_d8()
     monkeypatch.setattr(quantum, "_S", phase_gate().scale(2))
     assert lifted_correction_rep_on_d8()[1] == phase_gate()
