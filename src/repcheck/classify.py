@@ -99,8 +99,6 @@ class Family(Record):
     target: ClassFunction
 
     def __post_init__(self):
-        if not isinstance(self.target, ClassFunction):
-            raise TypeError(f"a Family target must be a ClassFunction, got {type(self.target).__name__}")
         d = self.target.values[0]
         if not (d.is_integer() and d.as_int() > 0):
             raise ValueError(f"family {self.name}: target value {d} at the identity "

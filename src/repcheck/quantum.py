@@ -97,7 +97,7 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 class PureState(Record):
     """A (possibly unnormalized) state vector over Q(zeta_8)."""
 
-    vector: Vector
+    vector: tuple[CycloNum, ...]
 
     def __init__(self, vector: Sequence[CycloNum]):
         # a tuple, so a list or generator is read once and the state hashes
@@ -219,6 +219,9 @@ def chsh_value(state: PureState, settings: Sequence[ExactMatrix]) -> CycloNum:
         raise ValueError("CHSH needs a two-qubit state")
     if state.is_zero():
         raise ZeroState("CHSH value of the zero vector")
+    _require_vector("chsh_value", settings, ExactMatrix)
+    if len(settings) != 4:
+        raise ValueError(f"chsh_value needs 4 settings, got {len(settings)}")
     bell_op = _bell_operator(tuple(settings))
     num = inner(state.vector, bell_op.apply(state.vector))
     return num * inner(state.vector, state.vector).inverse()
@@ -324,34 +327,19 @@ class Effect(Record):
     vector: PureState
 
     def __post_init__(self):
-        _require("Effect", self.vector, PureState)
         if self.scale <= 0:
             raise ValueError("effect scale must be positive")
-        v = self.vector.vector
-        object.__setattr__(self, "matrix", outer(v, v).scale(self.scale))
+        object.__setattr__(self, "matrix", outer(self.vector.vector, self.vector.vector).scale(self.scale))
 
 
 class Instrument(Record):
     """Outcome labels with one Kraus operator each; sum M^dag M = identity."""
 
-    labels: tuple[str, ...]
+    labels: tuple[str, ...]  # tuples, so the swap caches can key on the instrument
     kraus: tuple[ExactMatrix, ...]
 
     def __post_init__(self):
-        # tuples, so the swap caches can key on the instrument
-        for name, kind in (("labels", str), ("kraus", ExactMatrix)):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                got = type(value).__name__
-            elif not value:
-                got = "an empty tuple"
-            else:
-                bad = [type(x).__name__ for x in value if not isinstance(x, kind)]
-                if not bad:
-                    continue
-                got = f"a tuple holding {bad[0]}"
-            raise TypeError(f"Instrument {name} must be a non-empty tuple of {kind.__name__}, got {got}")
-        if len(self.labels) != len(self.kraus):
+        if not len(self.labels) == len(self.kraus) > 0:
             raise ValueError(f"Instrument has {len(self.labels)} labels and {len(self.kraus)} Kraus operators")
 
     def is_complete(self) -> bool:
@@ -440,7 +428,8 @@ def entanglement_swap(
 
 def _checked_key(inst: Instrument, corrections: Optional[Mapping[str, tuple[str, ExactMatrix]]]) -> tuple:
     """The swap caches' key for corrections (None: the standard table), once
-    they cover inst's labels, each with a 2x2 ExactMatrix."""
+    they cover inst's labels and each value, which the key reads, is a
+    (str, ExactMatrix) pair, 2x2 for each of inst's labels."""
     table = _STANDARD_TABLE if corrections is None else corrections
     missing = [lbl for lbl in inst.labels if lbl not in table]
     if missing:
@@ -448,13 +437,13 @@ def _checked_key(inst: Instrument, corrections: Optional[Mapping[str, tuple[str,
                          f"the instrument's labels are {list(inst.labels)}")
     if corrections is None:
         return _STANDARD_KEY
-    for lbl in inst.labels:
-        corr = corrections[lbl][1]
-        if not isinstance(corr, ExactMatrix):
-            raise TypeError(f"the correction of outcome {lbl} must be an ExactMatrix, "
-                            f"got {type(corr).__name__}")
-        if (corr.rows, corr.cols) != (2, 2):
-            raise ValueError(f"the correction of outcome {lbl} is {corr.rows}x{corr.cols}, not 2x2")
+    for lbl, pair in corrections.items():
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], ExactMatrix)):
+            got = tuple(type(x).__name__ for x in pair) if isinstance(pair, tuple) else type(pair).__name__
+            raise TypeError(f"the correction of outcome {lbl} must be a (str, ExactMatrix) pair, got {got}")
+        if lbl in inst.labels and (pair[1].rows, pair[1].cols) != (2, 2):
+            raise ValueError(f"the correction of outcome {lbl} is {pair[1].rows}x{pair[1].cols}, not 2x2")
     return _correction_key(corrections)
 
 

@@ -23,15 +23,12 @@ from repcheck.quantum import PureState, bell_state, pauli, povm_construction, te
 MODULES = (cyclo, groups, characters, classify, matrices, quantum)
 BAD = ("x", (1, 2), None, 1.5)
 
-_RECORD = "a plain record stores its fields unchecked; the package builds it"
+_RECORD = "a protocol dataclass stores its fields unchecked; the package builds it"
 _INTS = "int entries are valid input by design"
 _MISS = "a lookup by an unknown name or label misses"
 # callable -> (the bad values, the outcome allowed instead of a refusal, why)
 ALLOWED = {
-    **{name: (BAD, "returns", _RECORD)
-       for name in ("groups.ConjClassPartition", "groups.GroupHom", "characters.CharTable",
-                    "classify.ObstructionRecord", "classify.Witness", "classify.Verdict",
-                    "quantum.OutcomeRecord", "quantum.ProtocolTrace")},
+    **{name: (BAD, "returns", _RECORD) for name in ("quantum.OutcomeRecord", "quantum.ProtocolTrace")},
     "matrices.outer": (((1, 2),), "returns", _INTS),
     "ExactMatrix.diag": (((1, 2),), "returns", _INTS),
     "classify.family_by_name": (("x",), "KeyError", _MISS),

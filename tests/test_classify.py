@@ -63,15 +63,18 @@ def test_every_family_has_trivial_multiplicity_one():
 
 def test_a_family_is_its_name_and_target():
     """Its group and dimension are read off the target, so they cannot
-    disagree with it; anything but a ClassFunction is refused, and so is a
-    target whose identity value is not a positive integer."""
+    disagree with it; a name that is not a str and a target that is not a
+    ClassFunction are refused, and so is a target whose identity value is
+    not a positive integer."""
     f = Family("x", family_by_name("D4_125").target)
     assert f.group == D4 and f.dimension == 4
     v = classify(f)
     assert v.realizable and v.witness.character_label == "chiE1"
     for bad in ((1, 1, 0, 0, 1), None, "D4_125"):
-        with pytest.raises(TypeError, match=f"must be a ClassFunction, got {type(bad).__name__}$"):
+        with pytest.raises(TypeError, match=f"^Family target must be ClassFunction, got {type(bad).__name__}$"):
             Family("x", bad)
+    with pytest.raises(TypeError, match="^Family name must be str, got int$"):
+        Family(5, f.target)
     for at_identity in (CycloNum(0, 0, 1, 0), CycloNum(-4)):  # i and -4
         target = ClassFunction(D4, (at_identity,) + (CycloNum(0),) * 4)
         with pytest.raises(ValueError, match="^family x: target value .* at the identity is not a positive integer$"):

@@ -400,14 +400,12 @@ _LABELS, _KRAUS = povm_construction()[1].labels, povm_construction()[1].kraus
 
 
 @pytest.mark.parametrize("labels,kraus,error,message", [
-    (_LABELS, "x", TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got str"),
-    (_LABELS, (1, 2), TypeError,
-     "Instrument kraus must be a non-empty tuple of ExactMatrix, got a tuple holding int"),
-    (_LABELS, (), TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got an empty tuple"),
-    (_LABELS, list(_KRAUS), TypeError, "Instrument kraus must be a non-empty tuple of ExactMatrix, got list"),
-    ("b0", _KRAUS, TypeError, "Instrument labels must be a non-empty tuple of str, got str"),
-    ((0,) * 8, _KRAUS, TypeError,
-     "Instrument labels must be a non-empty tuple of str, got a tuple holding int"),
+    (_LABELS, "x", TypeError, "Instrument kraus must be tuple[ExactMatrix, ...], got str"),
+    (_LABELS, (1, 2), TypeError, "Instrument kraus must be tuple[ExactMatrix, ...], got a tuple holding int"),
+    (_LABELS, (), ValueError, "Instrument has 8 labels and 0 Kraus operators"),
+    (_LABELS, list(_KRAUS), TypeError, "Instrument kraus must be tuple[ExactMatrix, ...], got list"),
+    ("b0", _KRAUS, TypeError, "Instrument labels must be tuple[str, ...], got str"),
+    ((0,) * 8, _KRAUS, TypeError, "Instrument labels must be tuple[str, ...], got a tuple holding int"),
     (_LABELS[:7], _KRAUS, ValueError, "Instrument has 7 labels and 8 Kraus operators"),
     (_LABELS, _KRAUS + _KRAUS[:1], ValueError, "Instrument has 8 labels and 9 Kraus operators"),
 ], ids=["str-kraus", "int-kraus", "no-kraus", "list-kraus", "str-labels", "int-labels",
@@ -479,7 +477,7 @@ def test_the_swap_refuses_an_instrument_that_is_not_one(call):
 
 
 @pytest.mark.parametrize("label,corr,error,shape", [
-    ("a2", [[1, 0], [0, 1]], TypeError, "must be an ExactMatrix, got list"),
+    ("a2", [[1, 0], [0, 1]], TypeError, "must be a (str, ExactMatrix) pair, got ('str', 'list')"),
     ("b1", ExactMatrix.identity(4), ValueError, "is 4x4, not 2x2"),
     ("b3", ExactMatrix([[1, 0]]), ValueError, "is 1x2, not 2x2"),
 ], ids=["list", "4x4", "1x2"])
@@ -493,6 +491,30 @@ def test_the_swap_refuses_a_correction_that_is_not_a_2x2_matrix(label, corr, err
     # the chain follows b0 only, and is refused all the same
     with pytest.raises(error, match=message):
         iterate_swap_detailed(1, outcome_path=["b0"], corrections=corrections)
+
+
+@pytest.mark.parametrize("value,got", [
+    (("I",), "('str',)"),
+    (1, "int"),
+    ((5, pauli(0)), "('int', 'ExactMatrix')"),
+    (["I", pauli(0)], "list"),
+    (("I", pauli(0), pauli(0)), "('str', 'ExactMatrix', 'ExactMatrix')"),
+], ids=["one-entry", "int", "int-label", "list", "three-entries"])
+@pytest.mark.parametrize("label", ["a1", "zz"], ids=["outcome", "extra-entry"])
+def test_a_correction_that_is_not_a_label_and_matrix_pair_is_refused_by_outcome(value, got, label):
+    """Refused by both callers with the outcome's name, after the label
+    coverage check, instead of an IndexError or a non-str correction label;
+    an entry for a label the instrument lacks is read into the swap caches'
+    key, so it is checked too."""
+    _, inst = povm_construction()
+    corrections = dict(standard_corrections(), **{label: value})
+    message = f"the correction of outcome {label} must be a (str, ExactMatrix) pair, got {got}"
+    for call in (lambda c: entanglement_swap(inst, c),
+                 lambda c: iterate_swap_detailed(1, outcome_path=["b0"], corrections=c)):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(corrections)
+        with pytest.raises(ValueError, match=r"^corrections lack outcome labels \['b0'\]"):
+            call({lbl: v for lbl, v in corrections.items() if lbl != "b0"})
 
 
 def test_the_correction_of_a_zero_probability_outcome_is_checked_too():
@@ -545,6 +567,24 @@ def _chain_into_a_zero_outcome():
     return iterate_swap_detailed(1, outcome_path=["z"], inst=padded, corrections=corrections)
 
 
+@pytest.mark.parametrize("settings,error,message", [
+    ([1, 2, 3, 4], TypeError, "chsh_value needs a tuple or list of ExactMatrix, got a list holding int"),
+    ("abcd", TypeError, "chsh_value needs a tuple or list of ExactMatrix, got str"),
+    (None, TypeError, "chsh_value needs a tuple or list of ExactMatrix, got NoneType"),
+    (tsirelson_settings()[:3], ValueError, "chsh_value needs 4 settings, got 3"),
+    (tsirelson_settings() + (pauli(1),), ValueError, "chsh_value needs 4 settings, got 5"),
+    ((), ValueError, "chsh_value needs 4 settings, got 0"),
+], ids=["ints", "str", "None", "three", "five", "none"])
+def test_chsh_value_refuses_bad_settings_by_name(settings, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        chsh_value(bell_state(), settings)
+
+
+def test_chsh_value_takes_its_settings_as_a_tuple_or_a_list():
+    assert chsh_value(bell_state(), tsirelson_settings()) == TSIRELSON
+    assert chsh_value(bell_state(), list(tsirelson_settings())) == TSIRELSON
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda: chsh_value(PureState((ONE, ZERO)), tsirelson_settings()),
      ValueError, "CHSH needs a two-qubit state"),
@@ -559,7 +599,7 @@ def _chain_into_a_zero_outcome():
     (lambda: iterate_swap_detailed("3"), TypeError, "iterate_swap_detailed needs an int rounds, got str"),
     (lambda: iterate_swap_detailed(2.0), TypeError, "iterate_swap_detailed needs an int rounds, got float"),
     (lambda: quantum.Effect("x", Fraction(1, 2), (ONE, ZERO)),
-     TypeError, "Effect needs a PureState, got tuple"),
+     TypeError, "Effect vector must be PureState, got tuple"),
     (lambda: iterate_swap_detailed(3, outcome_path=["b0", "b1"]),
      ValueError, "outcome_path supplies 2 outcomes for 3 rounds"),
     (_chain_into_a_zero_outcome, ZeroState, "selected outcome z has zero probability"),
