@@ -1,15 +1,16 @@
 """Dense exact matrices and vectors over Q(zeta_8).
 
 Unitarity, Hermiticity and operator identities are equality tests, never
-tolerance tests.  The protocols need nothing larger than 4x4; products and
-tensor products skip zero operands as they meet them.  Hermitian inner
-products go through ``cyclo.inner``.  ``apply`` keeps each row's non-zero
-entries once per matrix and sums each entry of M v on their integer
-numerators over one running denominator, reduced once.  A matrix keeps
-its hash and its ``is_unitary`` answer once computed.  ``ray_key``
-scales a matrix so its first non-zero entry is 1, one key per ray.  The
-public constructor coerces entries to CycloNum and refuses ragged rows;
-results built inside the class skip both steps.  The constructor,
+tolerance tests.  The protocols need nothing larger than 4x4; products,
+tensor products, ``outer``, ``scale`` and ``conj`` (so ``dagger``) skip zero
+entries as they meet them.  Hermitian inner products go through
+``cyclo.inner``.  ``apply`` keeps each row's non-zero entries once per
+matrix and sums each entry of M v on their integer numerators over one
+running denominator, reduced once.  A matrix keeps its hash and its
+``is_unitary`` answer once computed.  ``ray_key`` scales a matrix so its
+first non-zero entry is 1, one key per ray.  The public constructor
+coerces entries to CycloNum and refuses ragged rows; results built inside
+the class skip both steps.  The constructor,
 ``apply``, ``hs_inner``, ``outer``, ``proportionality``, ``ray_key`` and
 the methods ``diag``, ``scale`` and ``tensor`` give a TypeError naming
 themselves on a wrong-type operand.
@@ -109,7 +110,9 @@ class ExactMatrix:
 
     def scale(self, c: Scalar) -> ExactMatrix:
         _require("ExactMatrix.scale", c, _SCALARS)
-        return self._map(as_cyclo(c).__mul__)
+        c = as_cyclo(c)
+        return ExactMatrix._of(tuple(tuple(x if x.is_zero() else c * x for x in row)
+                                     for row in self.entries), self.cols)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
@@ -135,7 +138,8 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(zip(*self.entries)), self.rows)
 
     def conj(self) -> ExactMatrix:
-        return self._map(CycloNum.conjugate)
+        return ExactMatrix._of(tuple(tuple(x if x.is_zero() else x.conjugate() for x in row)
+                                     for row in self.entries), self.cols)
 
     def dagger(self) -> ExactMatrix:
         return self.conj().transpose()
@@ -256,7 +260,10 @@ def outer(v: Vector, w: Vector) -> ExactMatrix:
     """|v><w| as an exact matrix; entries may be CycloNum, int or Fraction."""
     _require_vector("outer", v, _SCALARS)
     _require_vector("outer", w, _SCALARS)
-    return ExactMatrix([[a * b.conjugate() for b in w] for a in v])
+    w = tuple(as_cyclo(b).conjugate() for b in w)
+    zeros = (ZERO,) * len(w)
+    return ExactMatrix._of(tuple(zeros if a.is_zero() else tuple(b if b.is_zero() else a * b for b in w)
+                                 for a in map(as_cyclo, v)), len(w))
 
 
 def proportionality(v: Vector, w: Vector) -> "CycloNum | None":

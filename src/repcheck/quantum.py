@@ -55,6 +55,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -262,8 +263,8 @@ def _pair_operator(w: Vector) -> ExactMatrix:
     """The 2x2 operator B with (<w| x 1)(q x Phi) = B q for a qubit q, <w|
     on (q, Phi's first qubit): B[t][b] = sum_j conj(w[2b + j]) Phi[2j + t]."""
     phi = _PHI.vector
-    return ExactMatrix([[inner(w[2 * b:2 * b + 2], phi[t::2]) for b in range(2)]
-                        for t in range(2)])
+    return ExactMatrix._of(tuple(tuple(inner(w[2 * b:2 * b + 2], phi[t::2]) for b in range(2))
+                                 for t in range(2)), 2)
 
 
 _BELL_PAIR_OPERATORS = tuple(_pair_operator(bk.vector) for bk in _BELL_BASIS)
@@ -343,16 +344,26 @@ class Instrument(Record):
             raise ValueError(f"Instrument has {len(self.labels)} labels and {len(self.kraus)} Kraus operators")
 
     def is_complete(self) -> bool:
+        """sum M^dag M = 1; ValueError unless every M is square of one size."""
         return self._complete
 
     @cached_property
     def _complete(self) -> bool:
-        # once per instrument: a record is frozen
-        dim = self.kraus[0].rows
-        total = ExactMatrix.zeros(dim, dim)
-        for m in self.kraus:
-            total = total + (m.dagger() @ m)
-        return total.is_identity()
+        # once per instrument: a record is frozen.  Stacked one above the
+        # next, the Kraus operators are one matrix K with K^dag K = sum M^dag M,
+        # so entry (i, j) of the sum is <column i of K|column j of K>
+        n = self.kraus[0].rows
+        for label, m in zip(self.labels, self.kraus):
+            if (m.rows, m.cols) != (n, n):
+                raise ValueError(f"Instrument Kraus operator {label} is {m.rows}x{m.cols}, not {n}x{n}")
+        return _orthonormal([tuple(chain.from_iterable(col))
+                             for col in zip(*(zip(*m.entries) for m in self.kraus))])
+
+
+def _orthonormal(vectors: Sequence[Vector]) -> bool:
+    """<v_i|v_j> = delta_ij, read for i <= j: the Gram matrix is Hermitian."""
+    return all(inner(v, vectors[j]) == (ONE if i == j else ZERO)
+               for i, v in enumerate(vectors) for j in range(i, len(vectors)))
 
 
 def povm_construction() -> tuple[list[Effect], Instrument]:
@@ -373,24 +384,19 @@ def povm_construction() -> tuple[list[Effect], Instrument]:
 def _povm_built(
     basis: tuple[PureState, ...], s: ExactMatrix
 ) -> tuple[tuple[Effect, ...], Instrument]:
-    half = Fraction(1, 2)
-
     # b_k = (sigma_k x 1)|Phi>, a_k = (S sigma_k x 1)|Phi> = (S x 1)|b_k>
     s_lift = s.tensor(_EYE2)
     vectors = [(f"b{k}", bk) for k, bk in enumerate(basis)]
     vectors += [(f"a{k}", PureState(s_lift.apply(bk.vector))) for k, bk in enumerate(basis)]
 
-    effects = tuple(Effect(label=lbl, scale=half, vector=v) for lbl, v in vectors)
+    # each half's effects must sum to I/2: for four v_i in C^4, the columns of V,
+    # sum |v_i><v_i| = V V^dag = 1 <=> V^dag V = 1 <=> <v_i|v_j> = delta_ij; then
+    # the Kraus operators, sqrt2 times the effects, sum M^dag M to 1
+    for family in "ba":
+        if not _orthonormal([v.vector for lbl, v in vectors if lbl[0] == family]):
+            raise IncompleteInstrument(f"{family}-family does not resolve the identity")
 
-    # each half sums to I/2, so its four vectors are an orthonormal basis;
-    # then the Kraus operators, sqrt2 times the effects, sum M^dag M to I
-    half_eye = ExactMatrix.identity(4).scale(half)
-    for half_slice in (effects[:4], effects[4:]):
-        total = ExactMatrix.zeros(4, 4)
-        for e in half_slice:
-            total = total + e.matrix
-        if total != half_eye:
-            raise IncompleteInstrument(f"{half_slice[0].label[0]}-family does not resolve the identity")
+    effects = tuple(Effect(label=lbl, scale=Fraction(1, 2), vector=v) for lbl, v in vectors)
 
     inst = Instrument(labels=tuple(e.label for e in effects),
                       kraus=tuple(e.matrix.scale(SQRT2) for e in effects))
@@ -456,19 +462,20 @@ def _swap_plan(inst: Instrument, corr_key: tuple) -> tuple[tuple, ...]:
     by that entry, w the conjugate of its row; a zero M gives zero u and w.
     Outcomes share a class when their C B lie on one ray; every zero C B
     shares one class, whose post states chsh_value refuses."""
+    for label, m in zip(inst.labels, inst.kraus):
+        if (m.rows, m.cols) != (4, 4):
+            raise ValueError(f"Kraus operator {label} is {m.rows}x{m.cols}, not 4x4")
     if not inst.is_complete():
         raise IncompleteInstrument("sum of M^dag M is not the identity")
     corrections = {lbl: (cl, m) for lbl, cl, m in corr_key}
     classes: dict[Optional[ExactMatrix], int] = {}
     plan = []
     for label, m in zip(inst.labels, inst.kraus):
-        if (m.rows, m.cols) != (4, 4):
-            raise ValueError(f"Kraus operator {label} is {m.rows}x{m.cols}, not 4x4")
-        cells = [(r, c) for r in range(4) for c in range(4) if not m[r, c].is_zero()]
-        r, c = cells[0] if cells else (0, 0)
-        inv = m[r, c].inverse() if cells else ZERO
-        u = tuple(m[i, c] * inv for i in range(4))
-        w = tuple(x.conjugate() for x in m.entries[r])
+        r, c = next(((r, c) for r, row in enumerate(m.entries)
+                     for c, x in enumerate(row) if not x.is_zero()), (0, 0))
+        inv = ZERO if m[r, c].is_zero() else m[r, c].inverse()
+        u = tuple(ZERO if row[c].is_zero() else row[c] * inv for row in m.entries)
+        w = tuple(x if x.is_zero() else x.conjugate() for x in m.entries[r])
         if outer(u, w) != m:
             raise IncompleteInstrument(f"Kraus operator {label} is not rank one")
         pair_op = _pair_operator(w)

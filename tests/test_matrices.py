@@ -8,7 +8,7 @@ from itertools import chain
 
 import pytest
 
-from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO, inner
+from repcheck.cyclo import CycloNum, I, ONE, SQRT2, ZERO, as_cyclo, inner
 from repcheck.groups import builtin_group
 from repcheck.matrices import ExactMatrix, hs_inner, outer, proportionality, ray_key
 from repcheck.quantum import bell_state, conj_rep_character_from_matrices, pauli_rep_on_k4
@@ -288,6 +288,48 @@ def test_outer_and_proportionality_take_int_and_fraction_entries():
     assert proportionality((half, 0), (I, ZERO)) == CycloNum(half) * I.conjugate()
     assert proportionality((0, 0), (ZERO, ZERO)) == ONE
     assert proportionality((1, 0), (ZERO, ZERO)) is None
+
+
+def test_zero_skipping_maps_match_their_entrywise_formulas():
+    """outer, scale, conj and dagger skip zero entries; on inputs rich in
+    zeros each must still equal its formula, entry for entry.  outer and
+    scale also take int and Fraction entries."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    fractions = st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    cyclos = st.one_of(st.just(ZERO), st.builds(CycloNum, fractions, fractions, fractions, fractions))
+    scalars = st.one_of(cyclos, fractions, st.integers(-3, 3))
+
+    @st.composite
+    def cases(draw):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        m = ExactMatrix(draw(st.lists(st.lists(cyclos, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)))
+        v = tuple(draw(st.lists(scalars, max_size=4)))
+        w = tuple(draw(st.lists(scalars, max_size=4)))
+        return m, v, w, draw(scalars)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        m, v, w, c = case
+        products = outer(v, w)
+        assert_well_formed(products)
+        assert products.entries == tuple(tuple(as_cyclo(a) * as_cyclo(b).conjugate() for b in w)
+                                         for a in v)
+        assert m.scale(c).entries == tuple(tuple(as_cyclo(c) * x for x in row) for row in m.entries)
+        assert m.conj().entries == tuple(tuple(x.conjugate() for x in row) for row in m.entries)
+        assert m.dagger().entries == tuple(tuple(m[i, j].conjugate() for i in range(m.rows))
+                                           for j in range(m.cols))
+        for result in (m.scale(c), m.conj(), m.dagger()):
+            assert_well_formed(result)
+
+    check()
+    with pytest.raises(TypeError, match="^outer needs a tuple or list of CycloNum or int or Fraction, "
+                                        "got a tuple holding str$"):
+        outer((1, Fraction(1, 2)), (ONE, "1/2"))
 
 
 # ----------------------------------------------------------------------

@@ -274,6 +274,57 @@ def test_each_half_of_the_povm_must_resolve_the_identity():
         quantum._povm_built(basis, ExactMatrix.diag([1, 2]))
 
 
+_LABELS, _KRAUS = povm_construction()[1].labels, povm_construction()[1].kraus
+
+
+def test_the_half_check_accepts_a_phase_and_refuses_a_repeated_vector():
+    """Each half is checked as <v_i|v_j> = delta_ij: a phase on one vector
+    leaves every effect |v><v|, so the instrument, as it was; a vector given
+    twice is not orthonormal to itself."""
+    basis = quantum._BELL_BASIS
+    b0, b1, b2, b3 = basis
+    _, inst = quantum._povm_built(basis, phase_gate())
+    phased = (b0, PureState(tuple(I * a for a in b1.vector)), b2, b3)
+    _, phased_inst = quantum._povm_built(phased, phase_gate())
+    assert phased_inst == inst and phased_inst is not inst
+    with pytest.raises(IncompleteInstrument, match="^b-family does not resolve the identity$"):
+        quantum._povm_built((b0, b0, b2, b3), phase_gate())
+
+
+def _sums_to_identity(inst: Instrument) -> bool:
+    """The definition of completeness, read directly: sum M^dag M == 1."""
+    total = ExactMatrix.zeros(inst.kraus[0].rows, inst.kraus[0].cols)
+    for m in inst.kraus:
+        total = total + m.dagger() @ m
+    return total.is_identity()
+
+
+_P = ExactMatrix.diag([1, 1, 0, 0])
+
+
+@pytest.mark.parametrize("labels,kraus,complete", [
+    pytest.param(_LABELS, _KRAUS, True, id="povm"),
+    pytest.param(_LABELS[:7], _KRAUS[:7], False, id="povm-first-seven"),
+    # the two instruments of test_swap_rejects_entangling_instrument
+    pytest.param(("id",), (ExactMatrix.identity(4),), True, id="identity"),
+    pytest.param(("P", "Q"), (_P, ExactMatrix.identity(4) - _P), True, id="rank-two"),
+    pytest.param(_LABELS, (_KRAUS[0].scale(2),) + _KRAUS[1:], False, id="one-doubled"),
+])
+def test_is_complete_matches_its_definition(labels, kraus, complete):
+    # a new record each time, so is_complete computes rather than recalls
+    inst = Instrument(labels=labels, kraus=kraus)
+    assert inst.is_complete() == _sums_to_identity(inst) == complete
+
+
+def test_is_complete_names_kraus_operators_it_cannot_sum():
+    mixed = Instrument(labels=("a", "b"), kraus=(ExactMatrix.identity(2), ExactMatrix.identity(4)))
+    with pytest.raises(ValueError, match="^Instrument Kraus operator b is 4x4, not 2x2$"):
+        mixed.is_complete()
+    wide = Instrument(labels=("a",), kraus=(ExactMatrix.zeros(2, 4),))
+    with pytest.raises(ValueError, match="^Instrument Kraus operator a is 2x4, not 2x2$"):
+        wide.is_complete()
+
+
 def test_an_effect_matrix_is_derived_from_its_scale_and_vector():
     v = bell_state()
     e = quantum.Effect(label="x", scale=Fraction(1, 3), vector=v)
@@ -315,7 +366,7 @@ def test_a_replaced_bell_basis_is_built_and_checked_again(capsys, monkeypatch):
     capsys.readouterr()
     b0, _, b2, b3 = quantum._BELL_BASIS
     monkeypatch.setattr(quantum, "_BELL_BASIS", (b0, b0, b2, b3))
-    with pytest.raises(IncompleteInstrument):
+    with pytest.raises(IncompleteInstrument, match="^b-family does not resolve the identity$"):
         povm_construction()
     assert cli.main(["verify-all"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -396,9 +447,6 @@ def test_swap_rejects_incomplete_instrument():
         entanglement_swap(broken)
 
 
-_LABELS, _KRAUS = povm_construction()[1].labels, povm_construction()[1].kraus
-
-
 @pytest.mark.parametrize("labels,kraus,error,message", [
     (_LABELS, "x", TypeError, "Instrument kraus must be tuple[ExactMatrix, ...], got str"),
     (_LABELS, (1, 2), TypeError, "Instrument kraus must be tuple[ExactMatrix, ...], got a tuple holding int"),
@@ -431,6 +479,15 @@ def test_swap_rejects_a_kraus_operator_that_is_not_4x4():
     inst = Instrument(labels=("id",), kraus=(ExactMatrix.identity(2),))
     with pytest.raises(ValueError, match="not 4x4"):
         entanglement_swap(inst, corrections={"id": ("I", pauli(0))})
+
+
+def test_swap_checks_the_kraus_shape_before_completeness():
+    wide = Instrument(labels=("a",), kraus=(ExactMatrix.zeros(2, 4),))
+    with pytest.raises(ValueError, match="^Kraus operator a is 2x4, not 4x4$"):
+        entanglement_swap(wide, corrections={"a": ("I", pauli(0))})
+    mixed = Instrument(labels=("a", "b"), kraus=(ExactMatrix.identity(4), ExactMatrix.identity(2)))
+    with pytest.raises(ValueError, match="^Kraus operator b is 2x2, not 4x4$"):
+        entanglement_swap(mixed, corrections={"a": ("I", pauli(0)), "b": ("I", pauli(0))})
 
 
 def test_swap_names_the_outcome_labels_its_corrections_lack():
