@@ -7,10 +7,7 @@ column orthogonality and the degree-sum identity, so neither is checked
 again.  Class functions are indexed by the canonical conjugacy-class
 order from the groups module (lowest-index representatives).  Character
 inner products go through the package's one Hermitian inner-product
-kernel, ``cyclo.inner``.  The sweeps of
-verify-all's brute-force oracle (each sum of a character list within a
-degree bound, with its conjugation character) come from conj_sweep, one
-memo per character list and degree bound.
+kernel, ``cyclo.inner``.
 
 The non-trivial projective class of D4 is read on its order-16 cover D8:
 the D8 irreducibles on which the central z^4 acts as -1, whose conjugation
@@ -120,28 +117,6 @@ def combination(chars: Sequence[ClassFunction], ns: Sequence[int]) -> ClassFunct
     if total is None:
         raise ValueError("a combination needs a non-zero multiplicity")
     return total
-
-
-# warm-only: no one-shot command reads it again; it saves a warm verify-all ~1.2 ms
-@lru_cache(maxsize=8)
-def conj_sweep(chars: tuple[ClassFunction, ...], max_degree: int) -> tuple[tuple, ...]:
-    """(ns, conj_character(sum ns[i] * chars[i])) for every non-zero ns of
-    degree <= max_degree, in itertools.product order; each sum is one addition
-    onto its prefix's partial sum.  Memoized on the characters (from a
-    verified table, so a changed table is new content) and on the bound."""
-    prefixes = [((), None, max_degree)]
-    for chi in chars:
-        if not isinstance(chi, ClassFunction):
-            raise TypeError(f"conj_sweep needs ClassFunction entries, got {type(chi).__name__}")
-        d = chi.dimension()
-        grown = []
-        for ns, total, left in prefixes:
-            grown.append((ns + (0,), total, left))
-            for n in range(1, left // d + 1):
-                total = chi if total is None else total + chi
-                grown.append((ns + (n,), total, left - n * d))
-        prefixes = grown
-    return tuple((ns, conj_character(total)) for ns, total, _ in prefixes if total is not None)
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:

@@ -112,7 +112,10 @@ def _parse_rational(text: str) -> Fraction:
         too_big = False  # not a decimal exponent; Fraction rejects it below
     if too_big:
         raise ValueError(f"exponent of {text!r} is beyond +-{_MAX_EXPONENT}")
-    q = Fraction(text)
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     # a longer integer cannot be printed: str() refuses it (0 means no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
@@ -135,7 +138,7 @@ def _cmd_simulate_teleport(args: argparse.Namespace) -> int:
 
     try:
         state = _parse_state(args.state)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise BadInput(f"bad --state: {exc}") from exc
     if state.is_zero():
         raise BadInput("--state must be non-zero")

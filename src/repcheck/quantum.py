@@ -717,13 +717,16 @@ def correction_group_check() -> GroupHom:
 
 
 def pvm_counting_check() -> str:
-    """Arithmetic for why a rank-one PVM on C^2 x C^2 cannot drive the
-    eight-element correction group."""
-    # no check: the literal dim and the order of the built-in D4 are fixed,
-    # and the text below is the whole claim
-    dim = 4
+    """Why a rank-one PVM on C^2 x C^2 cannot drive the eight-element
+    correction group while the POVM instrument can, read from the
+    instrument's Kraus operators and outcome labels."""
+    _, inst = povm_construction()
+    dim = inst.kraus[0].rows
     pvm_outcomes = dim  # rank-one projectors resolving the identity
     d4_order = builtin_group("D4").order
+    if not pvm_outcomes < d4_order <= len(inst.labels):
+        raise ValueError(f"a dim-{dim} PVM and a {len(inst.labels)}-outcome POVM break "
+                         f"{pvm_outcomes} < {d4_order} = |D4| <= {len(inst.labels)}")
     return (
         f"rank-one PVM on a dim-{dim} space has exactly {pvm_outcomes} outcomes; "
         f"{pvm_outcomes} < {d4_order} = |D4|, so it cannot label a faithful correction set. "

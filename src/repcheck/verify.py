@@ -1,19 +1,19 @@
 """Named runtime verification battery behind the CLI's verify-all command.
 
-Each check re-derives a pinned fact and reports one line; the brute-force
-sweep reads characters.conj_sweep, and correction-group and
-matrix-vs-table-conjugation read quantum's matrix tables and conjugation
-characters, one memo per content, so a warm run does not redo them (a
-changed table or matrix is new content).  Everything here is an exact
+Each check re-derives a pinned fact and reports one line; correction-group
+and matrix-vs-table-conjugation read quantum's matrix tables and
+conjugation characters, one memo per content, so a warm run does not redo
+them (a changed table or matrix is new content).  Everything here is an exact
 (equality) assertion; a corrupted table, a wrong correction or a broken
 identity flips the corresponding check to FAIL rather than passing silently.
 
 No check samples: the protocol and matrix identities are proved for every
 input by finite ones (quantum's teleport_scalars and swap_scalars, U^dag U
-= 1 per correction, the four matrix units), and multiplicity-sweep proves
-m1 = sum n_i^2 for every degree from the 15 values that fix the quadratic
-form m1(n); iterate-swap's seeds drive the program's own seeded outcome
-choice, and each chain checks its arguments once.
+= 1 per correction, the four matrix units), multiplicity-sweep and
+brute-force-oracle prove m1 = sum n_i^2 at every degree in both projective
+classes from the values that fix the quadratic form m1(n); iterate-swap's
+seeds drive the program's own seeded outcome choice, and each chain checks
+its arguments once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .characters import (
     char_table,
     combination,
     conj_character,
-    conj_sweep,
     decompose,
     inner_product,
     projective_irreps_d4,
@@ -121,34 +120,51 @@ def _check_group_tables() -> str:
 def _check_character_tables() -> str:
     degrees = {}
     for name in BUILTIN_NAMES:
-        t = char_table(builtin_group(name))  # orthogonality verified on load
+        t = char_table(builtin_group(name))  # verified on load
         degrees[name] = t.degrees()
     _require(degrees["D4"] == (1, 1, 1, 1, 2))
     _require(degrees["D8"] == (1, 1, 1, 1, 2, 2, 2))
-    return "row/column orthogonality and degree sums hold for all 5 tables"
+    return (f"all {len(degrees)} tables have one row per class, positive integer degrees and "
+            "orthonormal rows, from which column orthogonality and the degree sum follow")
+
+
+def _m1_is_sum_of_squares(chars, doubled: bool = False) -> dict:
+    """Check m1(n) = <1, conj(sum n_i chi_i)> = sum n_i^2 on n = e_i and
+    e_i + e_j, then on the 2 e_i if doubled, and return each n's conjugation
+    character on D4, where characters of D8 are pushed.  m1(n) is a quadratic
+    form in n, which its values on the e_i and the e_i + e_j fix, so this
+    proves m1 = sum n_i^2 at every degree."""
+    d4 = builtin_group("D4")
+    triv = trivial_character(d4)
+    k = len(chars)
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    vectors = unit + [tuple(a + b for a, b in zip(unit[i], unit[j]))
+                      for i, j in itertools.combinations(range(k), 2)]
+    if doubled:
+        vectors += [tuple(2 * n for n in e) for e in unit]
+    conj = {}
+    for ns in vectors:
+        cchi = conj_character(combination(chars, ns))
+        if cchi.group != d4:
+            cchi = push_to_quotient(cchi)  # refuses any group but D8
+        m1 = inner_product(triv, cchi)
+        expected = sum(n * n for n in ns)
+        if m1 != CycloNum(expected):
+            raise CheckFailed(f"m1 at n = {ns} is {m1}, expected sum n_i^2 = {expected}")
+        conj[ns] = cchi
+    return conj
 
 
 def _check_multiplicity_sweep() -> str:
-    """m1(ns) = <1, conj(sum n_i chi_i)> is a quadratic form in ns, which its
-    values on the e_i and the e_i + e_j fix: m1 = sum n_i^2 there proves it
-    at every degree.  The 2 e_i run combination's repeated addition."""
-    d4 = builtin_group("D4")
-    t = char_table(d4)
-    triv = trivial_character(d4)
-    k = len(t.irreducibles)
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    fixing = unit + [tuple(a + b for a, b in zip(unit[i], unit[j]))
-                     for i, j in itertools.combinations(range(k), 2)]
-    vectors = fixing + [tuple(2 * n for n in e) for e in unit]
-    seen_m1 = set()
-    for ns in vectors:
-        m1 = inner_product(triv, conj_character(combination(t.irreducibles, ns)))
-        expected = sum(n * n for n in ns)
-        _require(m1 == CycloNum(expected), ns, m1)
-        seen_m1.add(expected)
-    return (f"m1 = sum n_i^2 on the {len(vectors)} characters sum n_i chi_i with n = e_i, e_i + e_j "
-            f"or 2 e_i; the first {len(fixing)} fix the quadratic form m1(n), so it holds at every "
-            f"degree (m1 hits {', '.join(map(str, sorted(seen_m1)))})")
+    """m1 = sum n_i^2 for D4's irreducibles; the 2 e_i run combination's
+    repeated addition."""
+    irreducibles = char_table(builtin_group("D4")).irreducibles
+    conj = _m1_is_sum_of_squares(irreducibles, doubled=True)
+    fixing = len(conj) - len(irreducibles)  # the 2 e_i come last
+    seen_m1 = sorted({sum(n * n for n in ns) for ns in conj})
+    return (f"m1 = sum n_i^2 on the {len(conj)} characters sum n_i chi_i with n = e_i, e_i + e_j "
+            f"or 2 e_i; the first {fixing} fix the quadratic form m1(n), so it holds at every "
+            f"degree (m1 hits {', '.join(map(str, seen_m1))})")
 
 
 def _check_conj_steps() -> str:
@@ -191,11 +207,10 @@ def _check_classification() -> str:
 
 
 def _check_brute_force_oracle() -> str:
-    """Independently of the irreducibility shortcut, sweep ALL characters of
-    both D4 projective classes up to the degree bound: only irreducibles
-    ever hit a family target."""
-    t4 = char_table(builtin_group("D4"))
-    # target -> the families with it, so each swept character is one probe
+    """Only irreducibles ever hit a family target, at every degree: m1 =
+    sum n_i^2 in both projective classes, and every target has m1 = 1 (the
+    classifier checks it), so a hit has n = e_i, one of seven irreducibles."""
+    # target -> the families with it, so each irreducible is one probe
     targets_on_d4: dict = {}
     for f in seven_families():
         if f.group.name == "D4":
@@ -203,19 +218,20 @@ def _check_brute_force_oracle() -> str:
         elif f.group.name == "K4":
             targets_on_d4.setdefault(k4_target_pulled_to_d4(f.target), []).append(f.name)
 
-    nontrivial = tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL))
-    swept = [("trivial", ns, cchi) for ns, cchi in conj_sweep(t4.irreducibles, 4)]
-    swept += [("non-trivial", ns, push_to_quotient(cchi)) for ns, cchi in conj_sweep(nontrivial, 4)]
-    matches = []
-    for tag, ns, cchi in swept:
-        for fname in targets_on_d4.get(cchi, ()):
-            _require(sum(n * n for n in ns) == 1, f"reducible {tag} {ns} matched {fname}")
-            matches.append((f"{tag}:{ns}", fname))
+    nontrivial = projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL)
+    proved = _m1_is_sum_of_squares(tuple(chi for _, chi in nontrivial))
+    conj = [(label, conj_character(chi)) for label, chi in projective_irreps_d4(ProjectiveClassTag.TRIVIAL)]
+    conj += zip((label for label, _ in nontrivial), proved.values())  # the e_i come first
+    matches = [(label, fname) for label, cchi in conj for fname in targets_on_d4.get(cchi, ())]
 
     matched_families = sorted({fname for _, fname in matches})
-    _require(matched_families == ["D4_125", "K4_1234"], matched_families)
-    _require(len(matches) == 3)  # chi5, chiE1, chiE3
-    return "exhaustive sweep: only chi5, chiE1, chiE3 hit any family; no reducible ever does"
+    if matched_families != ["D4_125", "K4_1234"]:
+        raise CheckFailed(f"matched families {matched_families}, expected ['D4_125', 'K4_1234']")
+    _require(len(matches) == 3, matches)  # chi5, chiE1, chiE3
+    return (f"m1 = sum n_i^2 on {', '.join(label for label, _ in nontrivial)} and their sum pushed to D4, "
+            "so at every degree in the non-trivial class as in the trivial one (multiplicity-sweep); "
+            f"every target has m1 = 1, so of all characters only the {len(conj)} irreducibles can hit "
+            f"one, and only {', '.join(label for label, _ in matches)} do")
 
 
 def _check_tsirelson() -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repcheck import characters, verify
+from repcheck import characters
 from repcheck.characters import (
     ClassFunction,
     GroupMismatch,
@@ -18,7 +18,6 @@ from repcheck.characters import (
     char_table,
     combination,
     conj_character,
-    conj_sweep,
     decompose,
     inner_product,
     projective_irreps_d4,
@@ -320,42 +319,6 @@ def test_chi5_multiplicity_of_conjugation_characters_is_even():
         assert m5 % 2 == 0
 
 
-@pytest.mark.parametrize("degrees,bound,count", [
-    ((1, 1, 1, 1), 4, 69),
-    ((1, 1, 1, 1, 2), 4, 85),
-    ((1, 1, 1, 1, 2), 6, 295),
-    ((2, 2), 4, 5),
-])
-def test_multiplicity_vectors_match_the_filtered_product(degrees, bound, count):
-    """conj_sweep walks the filtered product in its order, and each entry is
-    the conjugation character of the combination its ns names."""
-    chars = {
-        (1, 1, 1, 1): char_table(builtin_group("Z4")).irreducibles,
-        (1, 1, 1, 1, 2): T4.irreducibles,
-        (2, 2): tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL)),
-    }[degrees]
-    assert tuple(chi.dimension() for chi in chars) == degrees
-    ranges = (range(bound // d + 1) for d in degrees)
-    expected = [
-        ns for ns in itertools.product(*ranges)
-        if 0 < sum(n * d for n, d in zip(ns, degrees)) <= bound
-    ]
-    sweep = conj_sweep(chars, bound)
-    assert [ns for ns, _ in sweep] == expected
-    assert len(expected) == count
-    for ns, cchi in sweep:
-        assert cchi == conj_character(combination(chars, ns)), ns
-
-
-def test_each_sweep_is_made_once_per_character_list_and_bound():
-    classify_all()
-    assert all(r.ok for r in verify.run_all())
-    misses = conj_sweep.cache_info().misses
-    classify_all()
-    assert all(r.ok for r in verify.run_all())
-    assert conj_sweep.cache_info().misses == misses
-
-
 @pytest.mark.parametrize("ns", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 2), (1, 1, 0, 0, 1), (3, 0, 2, 0, 1)])
 def test_combination_is_repeated_addition(ns):
     by_hand = None
@@ -376,15 +339,6 @@ def test_combination_refuses_entries_that_are_not_class_functions():
     # bare ints would sum to 1*1 + 2*2 = 5, which is no class function
     with pytest.raises(TypeError, match="got int$"):
         combination((1, 2), (1, 2))
-
-
-@pytest.mark.parametrize("chars,name", [
-    ((1, 2), "int"),
-    ((T4.irreducibles[0], "chi2"), "str"),
-])
-def test_conj_sweep_refuses_entries_that_are_not_class_functions(chars, name):
-    with pytest.raises(TypeError, match=f"needs ClassFunction entries, got {name}$"):
-        conj_sweep(chars, 4)
 
 
 def test_combination_refuses_a_negative_multiplicity():

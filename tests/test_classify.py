@@ -177,17 +177,6 @@ def test_the_chi5_formula_is_checked_on_the_fusion_coefficients():
     classify_module._check_chi5_fusion(T4)
 
 
-def test_the_classifier_makes_no_sweep():
-    """Its multiplicity formulas are proved from fusion coefficients, so a
-    cold classify_all() builds no conj_sweep memo entry."""
-    assert not hasattr(classify_module, "conj_sweep")
-    classify_module._facts_of.cache_clear()
-    classify_module._verdict.cache_clear()
-    characters.conj_sweep.cache_clear()
-    classify_all()
-    assert characters.conj_sweep.cache_info().misses == 0
-
-
 def test_z4_single_linear_character_has_m1_one_but_wrong_dimension():
     z4 = builtin_group("Z4")
     t = char_table(z4)

@@ -12,7 +12,6 @@ import pytest
 from repcheck import characters, classify, cli, groups, quantum, verify
 from repcheck.characters import _RAW_TABLES
 from repcheck.classify import classify_all
-from repcheck.cyclo import CycloNum
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -122,6 +121,12 @@ def test_simulate_teleport_rejects_bad_state(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "simulate-teleport", "--state", "0,0,0,0")
     assert code == 2
+
+
+def test_a_zero_denominator_in_the_state_is_named(capsys):
+    code = cli.main(["simulate-teleport", "--state", "1/0,0,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad --state: zero denominator in '1/0'\n"
 
 
 def test_simulate_swap_json(capsys):
@@ -287,7 +292,8 @@ def test_verify_all_catches_table_fault_after_warm_caches(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-all")
     assert code == 1
     assert "FAIL character-tables" in out
-    # the two checks that read the memoized sweeps
+    # the memos are keyed on table content, so checks that read D4's table
+    # load it again, and its verification refuses it there too
     assert "FAIL multiplicity-sweep" in out
     assert "FAIL brute-force-oracle" in out
 
@@ -305,7 +311,31 @@ def test_the_multiplicity_check_runs_each_polarization_vector(monkeypatch):
     monkeypatch.setattr(verify, "combination", once_each)
     with pytest.raises(verify.CheckFailed) as info:
         verify._check_multiplicity_sweep()
-    assert info.value.args == ((2, 0, 0, 0, 0), CycloNum(1))
+    assert str(info.value) == "m1 at n = (2, 0, 0, 0, 0) is 1, expected sum n_i^2 = 4"
+
+
+def test_the_oracle_proves_the_non_trivial_class_on_the_sum(capsys, monkeypatch):
+    """A combination that drops the second character of a sum fails
+    brute-force-oracle at n = (1, 1): chiE1 + chiE3 has m1 = 2, chiE1 has 1."""
+    def drop_second(chars, ns):
+        first = next(i for i, n in enumerate(ns) if n)
+        return characters.combination(chars, [n if i == first else 0 for i, n in enumerate(ns)])
+
+    monkeypatch.setattr(verify, "combination", drop_second)
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert "FAIL brute-force-oracle: CheckFailed: m1 at n = (1, 1) is 1, expected sum n_i^2 = 2\n" in out
+
+
+def test_swapped_d4_rows_fail_the_oracle_by_the_family_they_hit(capsys, monkeypatch):
+    """D4's chi2 and chi3 rows swapped still form a verified table, but the
+    family named D4_135 then has the target that chiE1 and chiE3 hit."""
+    labels, rows = _RAW_TABLES["D4"]
+    monkeypatch.setitem(_RAW_TABLES, "D4", (labels, (rows[0], rows[2], rows[1]) + rows[3:]))
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert ("FAIL brute-force-oracle: CheckFailed: matched families ['D4_135', 'K4_1234'], "
+            "expected ['D4_125', 'K4_1234']\n") in out
 
 
 def test_verify_all_runs_under_optimize_flag():

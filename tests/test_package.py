@@ -78,7 +78,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, program):
 
 # the memos that no one-shot command reads again: each serves only in-process
 # repeats, a warm battery or a second cli.main, as in the benchmark's ops
-WARM_ONLY = {"characters.conj_sweep", "quantum._tabulated", "quantum._conj_character_of", "cli._parser"}
+WARM_ONLY = {"quantum._tabulated", "quantum._conj_character_of", "cli._parser"}
 
 _MEMO_HITS = """
 import json, sys

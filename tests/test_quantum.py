@@ -1233,6 +1233,16 @@ def test_pvm_counting_line():
     assert "4" in line and "8" in line and "Naimark" in line
 
 
+def test_pvm_counting_reads_the_povm_instrument(monkeypatch):
+    """The outcome count is the instrument's: seven outcomes cannot label
+    the eight corrections, and the check says so."""
+    effects, inst = povm_construction()
+    seven = Instrument(labels=inst.labels[:7], kraus=inst.kraus[:7])
+    monkeypatch.setattr(quantum, "povm_construction", lambda: (effects[:7], seven))
+    with pytest.raises(ValueError, match=r"^a dim-4 PVM and a 7-outcome POVM break 4 < 8 = \|D4\| <= 7$"):
+        pvm_counting_check()
+
+
 def test_conj_rep_character_from_pauli_assignment():
     k4 = builtin_group("K4")
     got = conj_rep_character_from_matrices(k4, pauli_rep_on_k4())
