@@ -142,11 +142,12 @@ def _m1_is_sum_of_squares(chars, doubled: bool = False) -> dict:
                       for i, j in itertools.combinations(range(k), 2)]
     if doubled:
         vectors += [tuple(2 * n for n in e) for e in unit]
+    on_d8 = chars[0].group != d4  # push_to_quotient refuses any group but D8
     conj = {}
     for ns in vectors:
         cchi = conj_character(combination(chars, ns))
-        if cchi.group != d4:
-            cchi = push_to_quotient(cchi)  # refuses any group but D8
+        if on_d8:
+            cchi = push_to_quotient(cchi)
         m1 = inner_product(triv, cchi)
         expected = sum(n * n for n in ns)
         if m1 != CycloNum(expected):
