@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repcheck import characters
+from repcheck import characters, verify
 from repcheck.characters import (
     ClassFunction,
     GroupMismatch,
@@ -317,6 +317,37 @@ def test_chi5_multiplicity_of_conjugation_characters_is_even():
         m5 = decompose(conj_character(chi_u), T4)[4]
         assert m5 == 2 * ns[4] * (ns[0] + ns[1] + ns[2] + ns[3])
         assert m5 % 2 == 0
+
+
+@pytest.mark.parametrize("degrees,bound,count", [
+    ((1, 1, 1, 1), 4, 69),
+    ((1, 1, 1, 1, 2), 4, 85),
+    ((1, 1, 1, 1, 2), 6, 295),
+    ((2, 2), 4, 5),
+])
+def test_multiplicity_vectors_match_the_filtered_product(degrees, bound, count):
+    """m1(n) = sum n_i^2 on every n of the filtered product, which the
+    oracle's helper proves from the e_i and e_i + e_j alone; on D4 and D8 the
+    helper's conjugation characters are those of the combinations its n name."""
+    chars = {
+        (1, 1, 1, 1): char_table(builtin_group("Z4")).irreducibles,
+        (1, 1, 1, 1, 2): T4.irreducibles,
+        (2, 2): tuple(chi for _, chi in projective_irreps_d4(ProjectiveClassTag.NONTRIVIAL)),
+    }[degrees]
+    assert tuple(chi.dimension() for chi in chars) == degrees
+    ranges = (range(bound // d + 1) for d in degrees)
+    expected = [
+        ns for ns in itertools.product(*ranges)
+        if 0 < sum(n * d for n, d in zip(ns, degrees)) <= bound
+    ]
+    assert len(expected) == count
+    triv = trivial_character(chars[0].group)
+    conj = {ns: conj_character(combination(chars, ns)) for ns in expected}
+    for ns, cchi in conj.items():
+        assert inner_product(triv, cchi) == CycloNum(sum(n * n for n in ns)), ns
+    if chars[0].group != Z4:
+        for ns, cchi in verify._m1_is_sum_of_squares(chars).items():
+            assert cchi == (push_to_quotient(conj[ns]) if degrees == (2, 2) else conj[ns]), ns
 
 
 @pytest.mark.parametrize("ns", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 2), (1, 1, 0, 0, 1), (3, 0, 2, 0, 1)])

@@ -177,6 +177,22 @@ def test_the_chi5_formula_is_checked_on_the_fusion_coefficients():
     classify_module._check_chi5_fusion(T4)
 
 
+def test_the_classifier_makes_no_sweep(monkeypatch):
+    """Its multiplicity formulas are proved from fusion coefficients, so a
+    cold classify_all() builds one combination per family and no more."""
+    built = []
+
+    def counting(chars, ns):
+        built.append(ns)
+        return characters.combination(chars, ns)
+
+    monkeypatch.setattr(classify_module, "combination", counting)
+    classify_module._facts_of.cache_clear()
+    classify_module._verdict.cache_clear()
+    classify_all()
+    assert built == [ns for _, ns, _ in classify_module._FAMILIES]
+
+
 def test_z4_single_linear_character_has_m1_one_but_wrong_dimension():
     z4 = builtin_group("Z4")
     t = char_table(z4)
